@@ -3,10 +3,10 @@
 The vector engine does not interpret :class:`~repro.soc.processor.
 MemoryOperation` objects one at a time.  At setup it lowers every processor's
 program into a :class:`ProcessorBatch` — parallel arrays of the fields the
-hot loop needs (operation kind, address, width, burst length, payload, bus
-transfer cycles) — plus a *decode prepass* that resolves the address map for
-every unique ``(address, size)`` shape in the whole stream before the first
-cycle executes.  Policy evaluation is handled the same way by
+hot loop needs (operation kind, address, width, burst length, payload) —
+plus a *decode prepass* that resolves the address map for every unique
+``(address, size)`` shape in the whole stream before the first cycle
+executes.  Policy evaluation is handled the same way by
 :mod:`repro.engine.tables`, keyed on the decision-cache shape of
 :class:`repro.core.local_firewall.SecurityBuilder`.
 
@@ -53,7 +53,7 @@ class ProcessorBatch:
 
     ``kinds[i]`` selects the union member: COMPUTE rows use ``computes[i]``;
     READ/WRITE rows use ``operations/addresses/widths/bursts/sizes/datas/
-    transfer_cycles/thread_ids``.  ``generation`` snapshots the policy
+    thread_ids``.  ``generation`` snapshots the policy
     generation visible when the batch was built (reporting only — the engine
     re-checks generations per lookup, which is what keeps mid-stream
     reconfiguration exact).
@@ -69,7 +69,6 @@ class ProcessorBatch:
         "sizes",
         "datas",
         "computes",
-        "transfer_cycles",
         "thread_ids",
         "generation",
     )
@@ -84,7 +83,6 @@ class ProcessorBatch:
         self.sizes: List[int] = []
         self.datas: List[Optional[bytes]] = []
         self.computes: List[int] = []
-        self.transfer_cycles: List[int] = []
         self.thread_ids: List[Optional[int]] = []
         self.generation: int = 0
 
@@ -101,11 +99,7 @@ class ProcessorBatch:
         return list(seen)
 
 
-def build_batch(
-    processor: Processor,
-    address_phase_cycles: int,
-    data_phase_cycles_per_beat: int,
-) -> ProcessorBatch:
+def build_batch(processor: Processor) -> ProcessorBatch:
     """Lower one processor's program into parallel arrays.
 
     Raises :class:`BatchError` for any operation the object path's
@@ -126,7 +120,6 @@ def build_batch(
             batch.sizes.append(0)
             batch.datas.append(None)
             batch.computes.append(op.compute_cycles)
-            batch.transfer_cycles.append(0)
             batch.thread_ids.append(None)
             continue
         is_write = op.kind is OperationKind.WRITE
@@ -158,9 +151,6 @@ def build_batch(
         batch.sizes.append(size)
         batch.datas.append(op.data if is_write else None)
         batch.computes.append(0)
-        batch.transfer_cycles.append(
-            address_phase_cycles + data_phase_cycles_per_beat * op.burst_length
-        )
         batch.thread_ids.append(op.thread_id)
     return batch
 
@@ -174,9 +164,11 @@ def decode_prepass(
     Resolves each unique ``(address, size)`` shape of the combined stream to
     its target slave name — or ``None`` when the object path would raise a
     :class:`~repro.soc.address_map.DecodeError` (the engine then mirrors the
-    bus's decode-error termination).  The returned table is the route lookup
-    the hot loop uses instead of per-transaction map scans; shapes first seen
-    at runtime (none, for pre-lowered batches) fall back to a live decode.
+    bus's decode-error termination, as it does for a mapped slave name with
+    no connected port).  The returned table is the route lookup
+    the hot loop uses instead of per-transaction map scans, so every shape
+    the loop meets must come from this prepass: an unrouted shape is an
+    engine error, never a live decode.
     """
     table: Dict[Tuple[int, int], Optional[str]] = {}
     decode = address_map.decode

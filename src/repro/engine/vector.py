@@ -21,16 +21,20 @@ the real code at the right simulated time.  The differential harness
 (:mod:`repro.scenarios.differential`) holds the two engines to byte-identical
 fingerprints on every registered scenario.
 
-**Hierarchical fabrics** run natively: the decode prepass resolves every
-unique (address, size) shape through the fabric router once
-(:func:`repro.engine.batch.fabric_route_prepass`), then the drain loop
-mirrors per-segment arbitration, bridge forward latency, the bounded
-posted-write buffer (with non-posted fallback and failure statistics) and
-bridge-placed filter chains — the latter through the same
-:class:`~repro.engine.tables.ChainTable` profile/replay front-end as the leaf
-chains.  Multi-hop reply paths are modelled as nested continuation tuples, so
+**One loop for every interconnect.**  A flat bus is drained as a fabric of
+one segment with no bridges, so flat and bridged platforms share the same
+mirrored event loop (:func:`_drain_fabric`).  The prepass resolves every
+unique (address, size) shape once — through the flat bus's address map
+(:func:`repro.engine.batch.decode_prepass`) or, hop by hop, through the
+fabric router (:func:`repro.engine.batch.fabric_route_prepass`) — into each
+segment's route table.  The loop mirrors per-segment arbitration, bridge
+forward latency, the bounded posted-write buffer (with non-posted fallback
+and failure statistics) and bridge-placed filter chains — the latter through
+the same :class:`~repro.engine.tables.ChainTable` profile/replay front-end as
+the leaf chains.  Reply paths are modelled as nested continuation tuples, so
 an event that completes on a far segment unwinds through each bridge and
-segment release exactly as the object path's nested callbacks would.
+segment release exactly as the object path's nested callbacks would; on a
+flat bus the continuation is one segment release around the master's reply.
 
 **Instrumented runs** with counting-only sinks (:class:`~repro.api.events.
 StatsSink`) also run natively: per-transaction event counts (``txn.*``,
@@ -88,20 +92,6 @@ _NEW = BusTransaction.__new__
 # is a single int compare (sequences are unique, so ties cannot occur).
 _SEQ_BITS = 44
 
-# Opcodes of the mirrored calendar.  Each heap entry is
-# ``(key, opcode, a, b)`` with ``key = time << _SEQ_BITS | sequence``.
-_EXEC = 0         # processor _execute_next (start or post-compute)
-_SUBMIT = 1       # bus.submit
-_DELIVER = 2      # slave_port.deliver
-_ACCESS = 3       # slave_port._access_device
-_SRESP = 4        # slave_port._run_response_filters
-_RELEASE = 5      # bus reply -> _on_slave_reply (completed path)
-_SBLOCK = 6       # slave_port._reply_blocked (incl. release + master reply)
-_MBLOCK = 7       # master_port._finish_blocked
-_MFIN = 8         # master_port._finish_completed
-_DECODE_ERR = 9   # bus._finish_decode_error
-_ALIEN = 10       # any other scheduled callback (reconfiguration closures)
-
 
 class _PState:
     """Per-processor engine state: the batch's parallel arrays (bound
@@ -111,19 +101,18 @@ class _PState:
     __slots__ = (
         "proc", "port", "batch", "master", "pc", "n", "mreq", "mresp",
         "kinds", "operations", "addresses", "widths", "bursts", "datas",
-        "computes", "transfers", "threads", "targets", "transactions",
-        "home",
+        "computes", "threads", "transactions", "home",
         "issued", "p_blocked_requests", "p_blocked_responses",
         "p_completed", "p_terminated",
         "compute_ops", "compute_cycles", "memory_ops",
         "completed_accesses", "blocked_accesses", "access_cycles",
     )
 
-    def __init__(self, proc: Processor, batch) -> None:
+    def __init__(self, proc: Processor, batch, home: "_SegState") -> None:
         self.proc = proc
         self.port = proc.port
         self.batch = batch
-        self.home: Optional["_SegState"] = None  # fabric runs only
+        self.home = home
         self.master = batch.master
         self.pc = 0
         self.n = len(batch)
@@ -136,9 +125,7 @@ class _PState:
         self.bursts = batch.bursts
         self.datas = batch.datas
         self.computes = batch.computes
-        self.transfers = batch.transfer_cycles
         self.threads = batch.thread_ids
-        self.targets: List[Optional["_SState"]] = []
         self.transactions = proc.transactions
         self.issued = 0
         self.p_blocked_requests = 0
@@ -192,7 +179,7 @@ class _SegState:
     __slots__ = (
         "seg", "name", "stage", "ap", "dp", "waiting", "select", "add_master",
         "history_append", "busy", "pending", "route", "sstates",
-        "submitted", "granted", "granted_ok", "completed", "decode_errors",
+        "submitted", "granted", "completed", "decode_errors",
         "mon_master", "mon_slave",
     )
 
@@ -217,7 +204,6 @@ class _SegState:
         }
         self.submitted = 0
         self.granted = 0
-        self.granted_ok = 0
         self.completed = 0
         self.decode_errors = 0
         self.mon_master: Dict[str, int] = {}
@@ -267,6 +253,14 @@ class _BridgeState:
         self.posted_write_failures = 0
 
 
+def _topology(bus) -> Tuple[Dict[str, BusSegment], Dict[str, BusBridge]]:
+    """The interconnect as segments and bridges; a flat bus is one segment
+    with no bridges."""
+    if type(bus) is InterconnectFabric:
+        return bus.segments, bus.bridges
+    return {bus.name: bus}, {}
+
+
 def eligibility(system: SoCSystem) -> Optional[str]:
     """Why this platform cannot run under the vector engine (None = it can).
 
@@ -274,42 +268,45 @@ def eligibility(system: SoCSystem) -> Optional[str]:
     (alerts, ciphering, floods) are handled inside the engine by real calls.
     """
     bus = system.bus
-    if isinstance(bus, BusSegment):
+    fabric = type(bus) is InterconnectFabric
+    if not fabric:
+        if not isinstance(bus, BusSegment):
+            return (
+                f"custom interconnect {type(bus).__name__} "
+                "(not a plain BusSegment or InterconnectFabric)"
+            )
+        # A flat bus may subclass BusSegment (SystemBus does) as long as it
+        # keeps the arbitration the loop mirrors.
         if type(bus).submit is not BusSegment.submit or (
             type(bus)._try_grant is not BusSegment._try_grant
         ):
             return f"custom interconnect {type(bus).__name__} overrides arbitration"
-        reason = _event_bus_reason(system)
-        if reason is not None:
-            return reason
-        reason = _segment_ports_reason(bus, bridges_allowed=False)
-        if reason is not None:
-            return reason
-        return _processors_reason(system)
-    if type(bus) is InterconnectFabric:
-        reason = _event_bus_reason(system)
-        if reason is not None:
-            return reason
-        segments = bus.segments
-        for seg_name, seg in segments.items():
-            if type(seg) is not BusSegment:
-                return f"custom segment {type(seg).__name__} ({seg_name})"
-            reason = _segment_ports_reason(seg, bridges_allowed=True)
-            if reason is not None:
-                return reason
-        for name, bridge in bus.bridges.items():
-            if type(bridge) is not BusBridge:
-                return f"custom bridge {type(bridge).__name__} ({name})"
-        reason = _processors_reason(system)
-        if reason is not None:
-            return reason
-        for proc in system.processors.values():
-            if proc.port.bus is not segments.get(
-                getattr(proc.port.bus, "name", None)
-            ):
-                return f"master {proc.name} attached outside the fabric's segments"
-        return None
-    return _describe_fabric_fallback(system)
+    reason = _event_bus_reason(system)
+    if reason is not None:
+        return reason
+    segments, bridges = _topology(bus)
+    for seg_name, seg in segments.items():
+        if fabric and type(seg) is not BusSegment:
+            return f"custom segment {type(seg).__name__} ({seg_name})"
+        for name, port in seg._slave_ports.items():
+            if type(port) is BridgeEndpoint:
+                if fabric:
+                    continue
+                return f"slave endpoint {name} uses split transactions"
+            if type(port) is not SlavePort:
+                return f"custom slave port {type(port).__name__} on {name}"
+            if getattr(port, "split_transactions", False):
+                return f"slave endpoint {name} uses split transactions"
+    for name, bridge in bridges.items():
+        if type(bridge) is not BusBridge:
+            return f"custom bridge {type(bridge).__name__} ({name})"
+    reason = _processors_reason(system)
+    if reason is not None:
+        return reason
+    for proc in system.processors.values():
+        if proc.port.bus is not segments.get(getattr(proc.port.bus, "name", None)):
+            return f"master {proc.name} attached outside the fabric's segments"
+    return None
 
 
 def _event_bus_reason(system: SoCSystem) -> Optional[str]:
@@ -322,19 +319,6 @@ def _event_bus_reason(system: SoCSystem) -> Optional[str]:
     return None
 
 
-def _segment_ports_reason(seg: BusSegment, bridges_allowed: bool) -> Optional[str]:
-    for name, port in seg._slave_ports.items():
-        if type(port) is BridgeEndpoint:
-            if bridges_allowed:
-                continue
-            return f"slave endpoint {name} uses split transactions"
-        if type(port) is not SlavePort:
-            return f"custom slave port {type(port).__name__} on {name}"
-        if getattr(port, "split_transactions", False):
-            return f"slave endpoint {name} uses split transactions"
-    return None
-
-
 def _processors_reason(system: SoCSystem) -> Optional[str]:
     for proc in system.processors.values():
         if type(proc) is not Processor:
@@ -344,17 +328,6 @@ def _processors_reason(system: SoCSystem) -> Optional[str]:
         if type(proc.port) is not MasterPort:
             return f"custom master port {type(proc.port).__name__}"
     return None
-
-
-def _describe_fabric_fallback(system: SoCSystem) -> str:
-    """Fallback reason for interconnects outside the mirrored subset (custom
-    fabric/bus subclasses).  Plain BusSegment and InterconnectFabric platforms
-    never reach here — both run natively — so this stays a cheap type
-    description instead of the route-resolution census it once computed."""
-    return (
-        f"custom interconnect {type(system.bus).__name__} "
-        "(not a plain BusSegment or InterconnectFabric)"
-    )
 
 
 def drive_workload(
@@ -373,88 +346,36 @@ def drive_workload(
         return None, EngineReport(requested=requested, used="object",
                                   fallback_reason=reason)
 
-    bus = system.bus
-    pstates: Dict[Processor, _PState] = {}
     try:
-        for proc in system.processors.values():
-            # proc.port.bus is the home segment in a fabric, the bus itself on
-            # a flat platform; either way it carries the phase cycles the
-            # object path's home-segment grant would charge.
-            home = proc.port.bus
-            batch = build_batch(
-                proc, home.address_phase_cycles, home.data_phase_cycles_per_beat
-            )
-            pstates[proc] = _PState(proc, batch)
+        batches = [build_batch(proc) for proc in system.processors.values()]
     except BatchError as exc:
         return None, EngineReport(
             requested=requested, used="object",
             fallback_reason=f"workload fails transaction validation ({exc})",
         )
 
-    if type(bus) is InterconnectFabric:
-        return _drive_fabric(system, bus, pstates, requested)
-
-    sstates = {
-        name: _SState(name, port) for name, port in bus._slave_ports.items()
-    }
-    shape_slaves = decode_prepass(
-        bus.address_map, [ps.batch for ps in pstates.values()]
-    )
-    route: Dict[Tuple[int, int], Optional[_SState]] = {
-        shape: (sstates.get(slave) if slave is not None else None)
-        for shape, slave in shape_slaves.items()
-    }
-    # Per-row target slave: array indexing in the hot loop instead of a
-    # (address, size) dict probe per transaction.
-    for ps in pstates.values():
-        batch = ps.batch
-        ps.targets = [
-            route[(address, size)] if kind else None
-            for kind, address, size in zip(
-                batch.kinds, batch.addresses, batch.sizes
-            )
-        ]
-
-    final = _drain(system, pstates, sstates, route)
-
-    tables = [t for ps in pstates.values() for t in (ps.mreq, ps.mresp)]
-    tables += [t for ss in sstates.values() for t in (ss.req, ss.resp)]
-    report = EngineReport(
-        requested=requested,
-        used="vector",
-        events=final[1],
-        batches=tuple(
-            (ps.proc.name, ps.n) for ps in pstates.values()
-        ),
-        unique_shapes=len(route),
-        profiles=sum(len(t.profiles) for t in tables),
-        replayed=sum(t.replayed for t in tables),
-        real_calls=sum(t.real_calls for t in tables),
-    )
-    return final[0], report
-
-
-def _drive_fabric(
-    system: SoCSystem,
-    fabric: InterconnectFabric,
-    pstates: Dict[Processor, _PState],
-    requested: str,
-) -> Tuple[Optional[int], EngineReport]:
-    """Fabric-native drive: route prepass + the continuation-based drain."""
-    segstates = {name: _SegState(seg) for name, seg in fabric.segments.items()}
+    bus = system.bus
+    fabric = type(bus) is InterconnectFabric
+    segments, bridges = _topology(bus)
+    segstates = {name: _SegState(seg) for name, seg in segments.items()}
     bridgestates = {
-        name: _BridgeState(bridge, segstates)
-        for name, bridge in fabric.bridges.items()
+        name: _BridgeState(bridge, segstates) for name, bridge in bridges.items()
+    }
+    pstates = {
+        proc: _PState(proc, batch, segstates[proc.port.bus.name])
+        for proc, batch in zip(system.processors.values(), batches)
     }
 
-    # One batched resolve_many per home segment, then per-hop installation
-    # into each traversed segment's route table.
-    streams: Dict[str, set] = {}
-    for ps in pstates.values():
-        home = segstates[ps.port.bus.name]
-        ps.home = home
-        streams.setdefault(home.name, set()).update(ps.batch.memory_shapes)
-    per_segment = fabric_route_prepass(fabric, streams)
+    # Resolve every unique shape once: hop by hop through the fabric router
+    # (one batched resolve_many per home segment), or through the flat bus's
+    # own address map.
+    if fabric:
+        streams: Dict[str, set] = {}
+        for ps in pstates.values():
+            streams.setdefault(ps.home.name, set()).update(ps.batch.memory_shapes)
+        per_segment = fabric_route_prepass(bus, streams)
+    else:
+        per_segment = {bus.name: decode_prepass(bus.address_map, batches)}
     unique_shapes = set()
     for seg_name, shape_slaves in per_segment.items():
         st = segstates[seg_name]
@@ -469,7 +390,8 @@ def _drive_fabric(
                     bridgestates[endpoint.device.name], endpoint.side, slave
                 )
             else:
-                st.route[shape] = st.sstates[slave]
+                # A region whose slave has no port here is a decode error too.
+                st.route[shape] = st.sstates.get(slave)
 
     final = _drain_fabric(system, pstates, segstates, bridgestates)
 
@@ -489,337 +411,14 @@ def _drive_fabric(
         replayed=sum(t.replayed for t in tables),
         real_calls=sum(t.real_calls for t in tables),
         extra={
-            "fabric": {
-                "segments": len(segstates),
-                "bridges": len(bridgestates),
-            }
-        },
+            "fabric": {"segments": len(segstates), "bridges": len(bridgestates)}
+        } if fabric else {},
     )
     return final[0], report
 
 
-def _drain(system, pstates, sstates, route) -> Tuple[int, int]:
-    """The mirrored event loop.  Returns (final cycle, events executed)."""
-    sim = system.sim
-    bus = system.bus
-    arbiter = bus.arbiter
-    waiting = bus._waiting
-    select = arbiter.select
-    add_master = arbiter.add_master
-    stage = bus.latency_stage
-    monitor = bus.monitor
-    history_append = monitor.history.append
-
-    heap: List[tuple] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    # Take over the calendar armed by start_all()/schedule_reconfigurations().
-    by_proc = {ps.proc: ps for ps in pstates.values()}
-    for ev in sim.drain_pending():
-        key = ev.time << _SEQ_BITS | ev.sequence
-        cb = ev.callback
-        if getattr(cb, "__func__", None) is _EXECUTE_NEXT:
-            heap.append((key, _EXEC, by_proc[cb.__self__], None))
-        else:
-            heap.append((key, _ALIEN, cb, ev.args))
-    heapq.heapify(heap)
-
-    seq = sim._sequence
-    busy = bus._busy
-    if busy:
-        raise EngineError("bus busy at workload start")
-    pending = 0  # waiting transactions across all masters (arbiter skip)
-
-    bus_submitted = 0
-    bus_granted = 0
-    bus_completed = 0
-    bus_decode_errors = 0
-    mon_master: Dict[str, int] = {}
-    mon_slave: Dict[str, int] = {}
-
-    n_events = 0
-    final_time = sim._now
-
-    READ_OP = _READ
-    ISSUED = TransactionStatus.ISSUED
-    GRANTED = TransactionStatus.GRANTED
-    COMPLETED = TransactionStatus.COMPLETED
-    BLOCKED_AT_MASTER = TransactionStatus.BLOCKED_AT_MASTER
-    BLOCKED_AT_SLAVE = TransactionStatus.BLOCKED_AT_SLAVE
-    DECODE_ERROR = TransactionStatus.DECODE_ERROR
-
-    def step(ps: _PState, time: int) -> None:
-        """Mirror of Processor._execute_next (one operation per activation)."""
-        nonlocal seq
-        pc = ps.pc
-        if pc >= ps.n:
-            proc = ps.proc
-            if proc.finished_at is None:
-                proc.finished_at = time
-                stats = proc.stats
-                stats["finished_at"] = time
-                if proc.started_at is not None:
-                    stats["execution_cycles"] = time - proc.started_at
-            return
-        ps.pc = pc + 1
-        kind = ps.kinds[pc]
-        if not kind:  # COMPUTE
-            cycles = ps.computes[pc]
-            ps.compute_ops += 1
-            ps.compute_cycles += cycles
-            push(heap, ((time + cycles) << _SEQ_BITS | seq, _EXEC, ps, None))
-            seq += 1
-            return
-        # Memory operation: mirror of MasterPort.issue, with the transaction
-        # constructed inline (fields pre-validated at batch build).
-        txn = _NEW(BusTransaction)
-        txn.master = ps.master
-        txn.operation = ps.operations[pc]
-        txn.address = ps.addresses[pc]
-        txn.width = ps.widths[pc]
-        txn.burst_length = ps.bursts[pc]
-        txn.data = ps.datas[pc]
-        txn.txn_id = _next_txn_id()
-        txn.status = ISSUED
-        txn.issued_at = time
-        txn.granted_at = -1
-        txn.completed_at = -1
-        txn.latency_breakdown = {}
-        thread_id = ps.threads[pc]
-        txn.annotations = {} if thread_id is None else {"thread_id": thread_id}
-        ps.memory_ops += 1
-        ps.transactions.append(txn)
-        ps.issued += 1
-        allowed, latency, result = ps.mreq.call(txn)
-        if allowed:
-            push(heap, (
-                (time + latency) << _SEQ_BITS | seq, _SUBMIT, ps,
-                (txn, ps.transfers[pc], ps.targets[pc]),
-            ))
-        else:
-            ps.p_blocked_requests += 1
-            push(heap, (
-                (time + latency) << _SEQ_BITS | seq, _MBLOCK, ps,
-                (txn, result.status or BLOCKED_AT_MASTER, result.reason),
-            ))
-        seq += 1
-
-    def complete_master(ps: _PState, txn: BusTransaction, time: int) -> None:
-        """Mirror of MasterPort._complete + Processor._on_transaction_done."""
-        if txn.status is COMPLETED:
-            ps.p_completed += 1
-            ps.completed_accesses += 1
-        else:
-            ps.p_terminated += 1
-            ps.blocked_accesses += 1
-            ps.proc.blocked_transactions.append(txn)
-        latency = txn.completed_at - txn.issued_at
-        if latency > 0:
-            ps.access_cycles += latency
-        step(ps, time)
-
-    def try_grant(time: int) -> None:
-        """Mirror of BusSegment._try_grant."""
-        nonlocal seq, busy, pending, bus_granted, bus_decode_errors
-        if busy or not pending:
-            return
-        winner = select(waiting)
-        if winner is None:
-            return
-        txn, ps, transfer, sstate = waiting[winner].popleft()
-        pending -= 1
-        busy = True
-        txn.granted_at = time
-        txn.status = GRANTED
-        bus_granted += 1
-        bd = txn.latency_breakdown
-        bd[stage] = bd.get(stage, 0) + transfer
-        if sstate is None:
-            bus_decode_errors += 1
-            push(heap, ((time + transfer) << _SEQ_BITS | seq,
-                        _DECODE_ERR, ps, txn))
-        else:
-            history_append(txn)
-            master = txn.master
-            mon_master[master] = mon_master.get(master, 0) + 1
-            slave = sstate.slave_name
-            mon_slave[slave] = mon_slave.get(slave, 0) + 1
-            push(heap, ((time + transfer) << _SEQ_BITS | seq,
-                        _DELIVER, ps, (txn, sstate)))
-        seq += 1
-
-    while heap:
-        key, op, a, b = pop(heap)
-        time = key >> _SEQ_BITS
-        sim._now = time
-        n_events += 1
-
-        if op == _EXEC:
-            step(a, time)
-        elif op == _SUBMIT:
-            txn, transfer, sstate = b
-            master = txn.master
-            queue = waiting.get(master)
-            if queue is None:
-                queue = waiting[master] = deque()
-                add_master(master)
-            queue.append((txn, a, transfer, sstate))
-            pending += 1
-            bus_submitted += 1
-            try_grant(time)
-        elif op == _DELIVER:
-            txn, sstate = b
-            sstate.delivered += 1
-            allowed, latency, result = sstate.req.call(txn)
-            if allowed:
-                push(heap, ((time + latency) << _SEQ_BITS | seq,
-                            _ACCESS, a, b))
-            else:
-                sstate.blocked_requests += 1
-                push(heap, (
-                    (time + latency) << _SEQ_BITS | seq, _SBLOCK, a,
-                    (txn, result.status or BLOCKED_AT_SLAVE, result.reason),
-                ))
-            seq += 1
-        elif op == _ACCESS:
-            txn, sstate = b
-            latency, data = sstate.access(txn)
-            bd = txn.latency_breakdown
-            name = sstate.device_name
-            bd[name] = bd.get(name, 0) + latency
-            if data is not None and txn.operation is READ_OP:
-                txn.data = data
-            push(heap, ((time + latency) << _SEQ_BITS | seq, _SRESP, a, b))
-            seq += 1
-        elif op == _SRESP:
-            txn, sstate = b
-            allowed, latency, result = sstate.resp.call(txn)
-            if allowed:
-                push(heap, ((time + latency) << _SEQ_BITS | seq,
-                            _RELEASE, a, txn))
-            else:
-                sstate.blocked_responses += 1
-                push(heap, (
-                    (time + latency) << _SEQ_BITS | seq, _SBLOCK, a,
-                    (txn, result.status or BLOCKED_AT_SLAVE, result.reason),
-                ))
-            seq += 1
-        elif op == _RELEASE:
-            # _release_and_reply with the master's response path inline: the
-            # master's follow-up schedules take sequence numbers *before* the
-            # next grant's, exactly as the object path's synchronous reply.
-            txn = b
-            busy = False
-            bus_completed += 1
-            allowed, latency, result = a.mresp.call(txn)
-            if allowed:
-                push(heap, ((time + latency) << _SEQ_BITS | seq,
-                            _MFIN, a, txn))
-            else:
-                a.p_blocked_responses += 1
-                push(heap, (
-                    (time + latency) << _SEQ_BITS | seq, _MBLOCK, a,
-                    (txn, result.status or BLOCKED_AT_MASTER, result.reason),
-                ))
-            seq += 1
-            try_grant(time)
-        elif op == _MFIN:
-            txn = b
-            txn.completed_at = time
-            txn.status = COMPLETED
-            complete_master(a, txn, time)
-        elif op == _SBLOCK:
-            txn, status, reason = b
-            txn.mark_blocked(time, status, reason)
-            busy = False
-            bus_completed += 1
-            complete_master(a, txn, time)
-            try_grant(time)
-        elif op == _MBLOCK:
-            txn, status, reason = b
-            txn.mark_blocked(time, status, reason)
-            complete_master(a, txn, time)
-        elif op == _DECODE_ERR:
-            txn = b
-            txn.mark_blocked(time, DECODE_ERROR, "address decode error")
-            busy = False
-            bus_completed += 1
-            complete_master(a, txn, time)
-            try_grant(time)
-        elif op == _ALIEN:
-            # Run foreign callbacks (reconfiguration closures) on the real
-            # simulator, then absorb anything they scheduled.
-            sim._sequence = seq
-            a(*b)
-            if sim._queue:
-                for ev in sim.drain_pending():
-                    ekey = ev.time << _SEQ_BITS | ev.sequence
-                    cb = ev.callback
-                    if getattr(cb, "__func__", None) is _EXECUTE_NEXT:
-                        push(heap, (ekey, _EXEC, by_proc[cb.__self__], None))
-                    else:
-                        push(heap, (ekey, _ALIEN, cb, ev.args))
-            seq = sim._sequence
-        else:  # pragma: no cover - unreachable
-            raise EngineError(f"unknown opcode {op}")
-        final_time = time
-
-    if busy or any(waiting.values()):
-        raise EngineError("transactions left in flight after drain")
-
-    # Settle deferred state back onto the real platform objects.
-    sim._sequence = seq
-    sim.resync(final_time, n_events)
-
-    for ps in pstates.values():
-        _merge(ps.proc.stats, (
-            ("compute_ops", ps.compute_ops),
-            ("compute_cycles", ps.compute_cycles),
-            ("memory_ops", ps.memory_ops),
-            ("completed_accesses", ps.completed_accesses),
-            ("blocked_accesses", ps.blocked_accesses),
-            ("access_cycles", ps.access_cycles),
-        ))
-        _merge(ps.port.stats, (
-            ("issued", ps.issued),
-            ("blocked_requests", ps.p_blocked_requests),
-            ("blocked_responses", ps.p_blocked_responses),
-            ("completed", ps.p_completed),
-            ("terminated", ps.p_terminated),
-        ))
-        ps.mreq.flush()
-        ps.mresp.flush()
-    for ss in sstates.values():
-        _merge(ss.port.stats, (
-            ("delivered", ss.delivered),
-            ("blocked_requests", ss.blocked_requests),
-            ("blocked_responses", ss.blocked_responses),
-        ))
-        ss.req.flush()
-        ss.resp.flush()
-    _merge(bus.stats, (
-        ("submitted", bus_submitted),
-        ("granted", bus_granted),
-        ("completed", bus_completed),
-        ("decode_errors", bus_decode_errors),
-    ))
-    per_master = monitor.per_master
-    for master, count in mon_master.items():
-        per_master[master] = per_master.get(master, 0) + count
-    per_slave = monitor.per_slave
-    for slave, count in mon_slave.items():
-        per_slave[slave] = per_slave.get(slave, 0) + count
-    request_tables = [ps.mreq for ps in pstates.values()]
-    request_tables += [ss.req for ss in sstates.values()]
-    _settle_event_counts(
-        sim, pstates, request_tables, bus_granted - bus_decode_errors
-    )
-
-    return final_time, n_events
-
-
-# Opcodes of the fabric calendar.  The fabric loop is continuation-based:
+# Opcodes of the mirrored calendar.  Each heap entry is ``(key, opcode, a, b)``
+# with ``key = time << _SEQ_BITS | sequence``.  The loop is continuation-based:
 # entries carry a *continuation* mirroring the reply callable the object path
 # would have closed over, so multi-hop completions unwind through nested
 # bridge/segment continuations exactly as the object path's nested callbacks.
@@ -850,10 +449,11 @@ _C_DRAIN_O = 5   # bridge._drain_done_ordered
 
 
 def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
-    """The mirrored event loop over a bridged-segment fabric.
+    """The mirrored event loop over the platform's segments and bridges.
 
-    Same 1:1 event contract as :func:`_drain`: one heap pop per object-path
-    kernel event, same cycle, same sequence number, same state transitions.
+    A flat bus arrives as one segment with no bridges; a fabric as all of its
+    segments and bridges.  One heap pop per object-path kernel event, at the
+    same cycle, with the same sequence number and the same state transitions.
     Returns (final cycle, events executed).
     """
     sim = system.sim
@@ -892,6 +492,7 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
     BLOCKED_AT_SLAVE = TransactionStatus.BLOCKED_AT_SLAVE
     BLOCKED_AT_BRIDGE = TransactionStatus.BLOCKED_AT_BRIDGE
     DECODE_ERROR = TransactionStatus.DECODE_ERROR
+    FAILED = _FAILED
 
     def step(ps: _PState, time: int) -> None:
         """Mirror of Processor._execute_next (one operation per activation)."""
@@ -968,7 +569,8 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
         queue.append((txn, cont))
         st.pending += 1
         st.submitted += 1
-        try_grant(st, time)
+        if not st.busy:
+            try_grant(st, time)
 
     def try_grant(st: _SegState, time: int) -> None:
         """Mirror of BusSegment._try_grant (per-segment phases, fabric routes)."""
@@ -1002,7 +604,6 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
         st.history_append(txn)
         master = txn.master
         st.mon_master[master] = st.mon_master.get(master, 0) + 1
-        st.granted_ok += 1
         if target.__class__ is _SState:
             slave = target.slave_name
             st.mon_slave[slave] = st.mon_slave.get(slave, 0) + 1
@@ -1041,7 +642,7 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
         if tag == _C_MASTER:
             ps = cont[1]
             status = txn.status
-            if status.is_terminal and status is not COMPLETED:
+            if status in FAILED:
                 complete_master(ps, txn, time)
                 return
             allowed, latency, result = ps.mresp.call(txn)
@@ -1063,7 +664,8 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
             # the inner continuation's schedules take earlier sequence numbers
             # than the next grant's.
             resume(cont[2], txn, time)
-            try_grant(st, time)
+            if st.pending:
+                try_grant(st, time)
         elif tag == _C_SPLIT:
             cont[1].completed += 1
             resume(cont[2], txn, time)
@@ -1071,7 +673,7 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
             bs = cont[1]
             bs.forwarded += 1
             status = txn.status
-            if status.is_terminal and status is not COMPLETED:
+            if status in FAILED:
                 resume(cont[2], txn, time)
                 return
             allowed, latency, result = bs.resp.call(txn)
@@ -1092,7 +694,7 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
             bs.draining = False
             bs.posted_completed += 1
             status = txn.status
-            if status.is_terminal and status is not COMPLETED:
+            if status in FAILED:
                 # Posted-write hazard: the issuer was acknowledged long ago.
                 bs.posted_write_failures += 1
                 if event_bus is not None:
@@ -1313,7 +915,7 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
         per_slave = st.seg.monitor.per_slave
         for slave, count in st.mon_slave.items():
             per_slave[slave] = per_slave.get(slave, 0) + count
-        granted_ok += st.granted_ok
+        granted_ok += st.granted - st.decode_errors
     for bs in bridgestates.values():
         _merge(bs.bridge.stats, (
             ("ingress_a", bs.ingress_a),
@@ -1336,6 +938,13 @@ def _drain_fabric(system, pstates, segstates, bridgestates) -> Tuple[int, int]:
 
 
 _NO_ROUTE = object()
+
+# Terminal statuses other than COMPLETED, as a tuple: a membership test is
+# several times cheaper than the ``is_terminal`` property on the hot path.
+_FAILED = tuple(
+    s for s in TransactionStatus
+    if s.is_terminal and s is not TransactionStatus.COMPLETED
+)
 
 
 def _settle_event_counts(sim, pstates, request_tables, granted_ok) -> None:

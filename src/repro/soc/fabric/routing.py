@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.soc.address_map import AddressRegion, DecodeError
 
-__all__ = ["Route", "FabricRouter", "RoutingError"]
+__all__ = ["Route", "FabricRouter", "RoutingError", "bridge_paths"]
 
 
 class RoutingError(Exception):
@@ -55,6 +55,35 @@ class Route:
         return len(self.bridges) + 1
 
 
+def bridge_paths(
+    segments: Iterable[str], bridges: Iterable[Tuple[str, str, str]]
+) -> Dict[Tuple[str, str], Tuple[str, ...]]:
+    """Shortest bridge path between every connected pair of segments.
+
+    ``bridges`` holds ``(a, b, bridge name)`` triples in declaration order.
+    Adjacency keeps that order and each per-source BFS uses a FIFO frontier,
+    so ties between equal-length paths go to the earliest-declared bridge.
+    Disconnected pairs are absent from the result.
+    """
+    adjacency: Dict[str, List[Tuple[str, str]]] = {name: [] for name in segments}
+    for a, b, bridge_name in bridges:
+        adjacency[a].append((b, bridge_name))
+        adjacency[b].append((a, bridge_name))
+    paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+    for source in adjacency:
+        paths[(source, source)] = ()
+        frontier = deque([source])
+        while frontier:
+            current = frontier.popleft()
+            path_here = paths[(source, current)]
+            for neighbour, bridge_name in adjacency[current]:
+                if (source, neighbour) in paths:
+                    continue
+                paths[(source, neighbour)] = path_here + (bridge_name,)
+                frontier.append(neighbour)
+    return paths
+
+
 class FabricRouter:
     """Shortest-path resolution over a fabric's segment/bridge graph."""
 
@@ -71,27 +100,14 @@ class FabricRouter:
 
     def rebuild(self) -> None:
         """Recompute every segment-to-segment bridge path (BFS per source)."""
-        self._paths.clear()
         self._route_cache.clear()
-        adjacency: Dict[str, List[Tuple[str, str]]] = {
-            name: [] for name in self._fabric.segments
-        }
-        for bridge in self._fabric.bridges.values():
-            a, b = bridge.segment_names
-            adjacency[a].append((b, bridge.name))
-            adjacency[b].append((a, bridge.name))
-
-        for source in self._fabric.segments:
-            self._paths[(source, source)] = ()
-            frontier = deque([source])
-            while frontier:
-                current = frontier.popleft()
-                path_here = self._paths[(source, current)]
-                for neighbour, bridge_name in adjacency[current]:
-                    if (source, neighbour) in self._paths:
-                        continue
-                    self._paths[(source, neighbour)] = path_here + (bridge_name,)
-                    frontier.append(neighbour)
+        self._paths = bridge_paths(
+            self._fabric.segments,
+            (
+                (*bridge.segment_names, bridge.name)
+                for bridge in self._fabric.bridges.values()
+            ),
+        )
 
     def path(self, source: str, destination: str) -> Tuple[str, ...]:
         """Bridge names crossed from ``source`` to ``destination``."""

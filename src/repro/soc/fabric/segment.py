@@ -153,8 +153,7 @@ class BusSegment(Component, Interconnect):
 
     def transfer_cycles(self, burst_length: int) -> int:
         """Bus occupancy of one transaction: address phase plus one data phase
-        per beat.  Exposed so the batch engine can precompute occupancy for a
-        whole transaction stream in one pass over the burst-length array."""
+        per beat."""
         return (
             self.address_phase_cycles
             + self.data_phase_cycles_per_beat * burst_length

@@ -40,7 +40,6 @@ guarded routes are recorded as coverage witnesses so
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.scenarios.spec import (
@@ -50,6 +49,7 @@ from repro.scenarios.spec import (
     SlaveSpec,
     TopologySpec,
 )
+from repro.soc.fabric.routing import bridge_paths
 from repro.staticcheck.findings import Finding, VerificationReport, Witness
 
 __all__ = ["verify_spec", "verify_scenario", "segment_paths"]
@@ -60,32 +60,14 @@ PROBE_PAYLOAD = b"\x5e\xcc\x0d\xe5"
 
 
 def segment_paths(topology: TopologySpec) -> Dict[Tuple[str, str], Tuple[str, ...]]:
-    """Bridge path between every segment pair, mirroring FabricRouter's BFS.
-
-    Adjacency is built in bridge declaration order and the frontier is a
-    FIFO, so tie-breaking matches :meth:`FabricRouter.rebuild` exactly —
-    the analyzer reasons about the same routes the datapath installs.
-    """
-    adjacency: Dict[str, List[Tuple[str, str]]] = {
-        segment.name: [] for segment in topology.segments
-    }
-    for bridge in topology.bridges:
-        adjacency[bridge.a].append((bridge.b, bridge.name))
-        adjacency[bridge.b].append((bridge.a, bridge.name))
-    paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-    for segment in topology.segments:
-        source = segment.name
-        paths[(source, source)] = ()
-        frontier = deque([source])
-        while frontier:
-            current = frontier.popleft()
-            path_here = paths[(source, current)]
-            for neighbour, bridge_name in adjacency[current]:
-                if (source, neighbour) in paths:
-                    continue
-                paths[(source, neighbour)] = path_here + (bridge_name,)
-                frontier.append(neighbour)
-    return paths
+    """Bridge path between every segment pair, from the same BFS
+    :meth:`FabricRouter.rebuild` runs (:func:`~repro.soc.fabric.routing.
+    bridge_paths`), so the analyzer reasons about the routes the datapath
+    installs."""
+    return bridge_paths(
+        (segment.name for segment in topology.segments),
+        ((bridge.a, bridge.b, bridge.name) for bridge in topology.bridges),
+    )
 
 
 def _segments_along(

@@ -16,9 +16,18 @@ from __future__ import annotations
 import pytest
 
 from repro.api.events import EventBus, InMemorySink, StatsSink, attach_instrumentation
+from repro.engine import drive_workload
 from repro.scenarios import registry
 from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.differential import _variant_fingerprint, diff_fingerprints
+from repro.soc.address_map import AddressMap
+from repro.soc.bus import SystemBus
+from repro.soc.fabric import InterconnectFabric
+from repro.soc.kernel import Simulator
+from repro.soc.memory import BlockRAM
+from repro.soc.processor import MemoryOperation, ProcessorProgram
+from repro.soc.system import SoCConfig, SoCSystem
+from repro.soc.transaction import TransactionStatus
 
 ALL_SCENARIOS = registry.list_scenarios()
 
@@ -178,3 +187,123 @@ def test_fabric_replay_engages_on_bridge_chains():
     _, report = _fingerprint(spec, True, "vector")
     assert report.used == "vector"
     assert report.replayed > 0
+
+
+# ---------------------------------------------------------------------------
+# Decode errors: unmapped addresses and mapped-but-unconnected regions
+# ---------------------------------------------------------------------------
+
+_GHOST_BASE = 0x2000   # mapped to slave "ghost", which has no port
+_REMOTE_GHOST_BASE = 0x3000
+_UNMAPPED = 0x7000_0000
+
+
+def _decode_error_program(ghost_base: int, salt: int) -> ProcessorProgram:
+    """Live accesses interleaved with both decode-error shapes, so grants
+    after each error still contend for the bus."""
+    ops = []
+    for i in range(6):
+        ops.append(MemoryOperation.write(0x100 * salt + 8 * i, bytes([i + salt] * 4)))
+        ops.append(MemoryOperation.read(_UNMAPPED + 4 * i))
+        ops.append(MemoryOperation.read(0x100 * salt + 8 * i))
+        ops.append(MemoryOperation.write(ghost_base + 4 * i, b"\x5a" * 4))
+        ops.append(MemoryOperation.compute(i))
+    return ProcessorProgram(operations=ops, name=f"decode_errors_{salt}")
+
+
+def _flat_decode_error_platform() -> SoCSystem:
+    sim = Simulator()
+    address_map = AddressMap()
+    address_map.add_region("bram", 0x0, 0x1000, slave="bram")
+    address_map.add_region("ghost", _GHOST_BASE, 0x1000, slave="ghost")
+    system = SoCSystem(sim, SystemBus(sim, address_map=address_map),
+                       SoCConfig(n_processors=2, with_dma=False))
+    system.add_memory(BlockRAM(sim, "bram", base=0x0, size=0x1000))
+    for salt in range(2):
+        system.add_processor(f"cpu{salt}").load_program(
+            _decode_error_program(_GHOST_BASE, salt)
+        )
+    return system
+
+
+def _fabric_decode_error_platform() -> SoCSystem:
+    """The same accesses issued on one fabric segment; a second ghost region
+    lives across the bridge, so its decode error lands on the far segment."""
+    sim = Simulator()
+    fabric = InterconnectFabric(sim)
+    fabric.add_segment("seg0")
+    fabric.add_segment("seg1")
+    fabric.add_bridge("br0", "seg0", "seg1")
+    fabric.add_region("bram", 0x0, 0x1000, slave="bram", segment="seg0")
+    fabric.add_region("ghost", _GHOST_BASE, 0x1000, slave="ghost", segment="seg0")
+    fabric.add_region("ghost_far", _REMOTE_GHOST_BASE, 0x1000, slave="ghost_far",
+                      segment="seg1")
+    fabric.finalize()
+    system = SoCSystem(sim, fabric, SoCConfig(n_processors=2, with_dma=False))
+    system.add_memory(BlockRAM(sim, "bram", base=0x0, size=0x1000), segment="seg0")
+    for salt, ghost in enumerate((_GHOST_BASE, _REMOTE_GHOST_BASE)):
+        system.add_processor(f"cpu{salt}", segment="seg0").load_program(
+            _decode_error_program(ghost, salt)
+        )
+    return system
+
+
+def _run_decode_errors(build, engine: str):
+    system = build()
+    system.start_all()
+    report = None
+    if engine == "vector":
+        final, report = drive_workload(system, requested="vector")
+        assert final is not None, report.fallback_reason
+    else:
+        final = system.run()
+    bus = system.bus
+    segments = bus.segments if isinstance(bus, InterconnectFabric) else {bus.name: bus}
+    observables = {
+        "final": final,
+        "events": system.sim.events_processed,
+        "statuses": {
+            name: [t.status for t in proc.transactions]
+            for name, proc in system.processors.items()
+        },
+        "blocked": {
+            name: [(t.address, t.status, t.annotations.get("block_reason"))
+                   for t in proc.blocked_transactions]
+            for name, proc in system.processors.items()
+        },
+        "processors": {
+            name: dict(proc.stats) for name, proc in system.processors.items()
+        },
+        "ports": {
+            name: dict(port.stats) for name, port in system.master_ports.items()
+        },
+        "slave_ports": {
+            name: dict(port.stats) for name, port in system.slave_ports.items()
+        },
+        "segments": {
+            name: (dict(seg.stats), dict(seg.monitor.per_master),
+                   dict(seg.monitor.per_slave))
+            for name, seg in segments.items()
+        },
+        "memory": system.memories["bram"].peek(0x0, 0x1000),
+    }
+    return observables, report
+
+
+@pytest.mark.parametrize(
+    "build", [_flat_decode_error_platform, _fabric_decode_error_platform],
+    ids=["flat", "fabric"],
+)
+def test_decode_errors_match_object_path(build):
+    obj, _ = _run_decode_errors(build, "object")
+    vec, report = _run_decode_errors(build, "vector")
+
+    decode_errors = sum(stats["decode_errors"] for stats, _, _ in obj["segments"].values())
+    # Per processor: six unmapped reads plus six writes to a portless region.
+    assert decode_errors == 24
+    assert all(
+        status is TransactionStatus.DECODE_ERROR
+        for blocked in obj["blocked"].values() for _, status, _ in blocked
+    )
+    assert report is not None and report.used == "vector"
+    assert vec == obj
