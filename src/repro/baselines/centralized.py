@@ -73,13 +73,24 @@ class CentralizedSecurityModule(Component):
         """Check a transaction; returns (allowed, total latency, reason).
 
         The latency includes the time the request spent waiting for the SEM
-        to become free.
+        to become free.  An evaluation is the queue step (:meth:`enqueue`)
+        followed by the policy check (:meth:`check`).
+        """
+        total_latency = self.enqueue()
+        allowed, reason = self.check(txn)
+        return allowed, total_latency, reason
+
+    def enqueue(self) -> int:
+        """Occupy the SEM for one evaluation; returns its total latency.
+
+        This is the *live* half of an evaluation: the FIFO arithmetic depends
+        only on the current cycle and on earlier evaluations, never on the
+        transaction, and it keeps the evaluation and queueing counters.
         """
         now = self.sim.now
         start = max(now, self._busy_until)
         queue_delay = start - now
         self._busy_until = start + self.check_latency
-        total_latency = queue_delay + self.check_latency
 
         self.evaluations += 1
         self.total_queue_cycles += queue_delay
@@ -87,20 +98,28 @@ class CentralizedSecurityModule(Component):
         if queue_delay:
             self.bump("queued_evaluations")
             self.bump("queue_cycles", queue_delay)
+        return queue_delay + self.check_latency
 
+    def check(self, txn: BusTransaction) -> Tuple[bool, str]:
+        """Policy lookup plus every checking module; returns (allowed, reason).
+
+        This is the *shape* half of an evaluation: with stateless checking
+        modules its verdict depends only on the installed rules and the
+        transaction's shape.  A failure raises the alert.
+        """
         try:
             policy = self.config_memory.lookup(txn.address, txn.size)
         except PolicyLookupError as exc:
             self._alert(txn, ViolationType.POLICY_MISS, str(exc))
-            return False, total_latency, "policy miss"
+            return False, "policy miss"
 
         for check in self.checks:
             result: CheckResult = check.check(policy, txn)
             if not result.passed:
                 assert result.violation is not None
                 self._alert(txn, result.violation, result.detail)
-                return False, total_latency, result.detail
-        return True, total_latency, ""
+                return False, result.detail
+        return True, ""
 
     def _alert(self, txn: BusTransaction, violation: ViolationType, detail: str) -> None:
         self.violations += 1

@@ -69,9 +69,10 @@ class ConfidentialityCore:
         self.cycles_charged = 0
 
     def _mode_for(self, key: bytes) -> CTRMode:
-        if key not in self._ciphers:
-            self._ciphers[key] = CTRMode(AES128(key))
-        return self._ciphers[key]
+        mode = self._ciphers.get(key)
+        if mode is None:
+            mode = self._ciphers[key] = CTRMode(AES128(key))
+        return mode
 
     def _charge(self, n_bytes: int) -> int:
         n_blocks = max(1, (n_bytes + self.AES_BLOCK - 1) // self.AES_BLOCK)
@@ -146,19 +147,8 @@ class ProtectedRegion:
     def n_blocks(self) -> int:
         return len(self.versions or [])
 
-    def block_index(self, address: int) -> int:
-        index = (address - self.rule.base) // self.block_size
-        if not 0 <= index < self.n_blocks:
-            raise ValueError(f"address {address:#x} outside protected region")
-        return index
-
     def block_base(self, index: int) -> int:
         return self.rule.base + index * self.block_size
-
-    def blocks_overlapping(self, address: int, size: int) -> List[int]:
-        first = self.block_index(address)
-        last = self.block_index(address + size - 1)
-        return list(range(first, last + 1))
 
     def version_of(self, index: int) -> int:
         if self.tree is not None:
@@ -227,6 +217,8 @@ class LocalCipheringFirewall(LocalFirewall):
         self.block_size = block_size
         self.confidentiality_core = ConfidentialityCore(f"{name}.cc", cc_cycles_per_block)
         self.integrity_core = IntegrityCore(f"{name}.ic", ic_cycles_per_block)
+        self._ciphered_key = f"{name}.ciphered"
+        self._authenticated_key = f"{name}.authenticated"
         self._regions: Dict[int, ProtectedRegion] = {}  # keyed by rule base
         # Memoised region_for() answers; every protected transaction performs
         # this lookup on both the request and the response path, so the scan
@@ -312,24 +304,22 @@ class LocalCipheringFirewall(LocalFirewall):
     # -- filter hooks ---------------------------------------------------------------------
 
     def filter_request(self, txn: BusTransaction) -> FilterResult:
-        # First run the plain LF policy checks (RWA / ADF / burst / ranges).
+        # The shape half: the plain LF policy checks (RWA / ADF / burst /
+        # ranges), whose verdict depends only on the transaction's shape.
         base_result = super().filter_request(txn)
-        if not base_result.allowed:
+        if not base_result.allowed or txn.is_read:
+            # Denied, or a read (handled on the response path once the
+            # ciphertext has been fetched from the external memory).
             return base_result
-
         region = self.region_for(txn.address, txn.size)
-        if region is None or txn.is_read:
-            # Unprotected region, or a read (handled on the response path once
-            # the ciphertext has been fetched from the external memory).
+        if region is None:
             return base_result
-
+        # The live half: ciphering and hash-tree update of the written data.
         return self._handle_protected_write(txn, region, base_result)
 
     def filter_response(self, txn: BusTransaction) -> FilterResult:
         base_result = super().filter_response(txn)
-        if not base_result.allowed:
-            return base_result
-        if not txn.is_read or txn.data is None:
+        if not base_result.allowed or not txn.is_read or txn.data is None:
             return base_result
         region = self.region_for(txn.address, txn.size)
         if region is None:
@@ -341,31 +331,43 @@ class LocalCipheringFirewall(LocalFirewall):
     def _handle_protected_write(
         self, txn: BusTransaction, region: ProtectedRegion, base_result: FilterResult
     ) -> FilterResult:
-        assert txn.data is not None
+        data = txn.data
+        assert data is not None
         policy = region.rule.policy
+        ciphering = policy.needs_ciphering
+        tree = region.tree
+        key = region.key
+        block_size = region.block_size
+        region_end = region.rule.end
+        address = txn.address
+        end = address + txn.size
+        device = self.device
+        cc = self.confidentiality_core
         cc_cycles = 0
         ic_cycles = 0
-        new_payload = bytearray(txn.data)
+        new_payload = bytearray(data)
 
-        for index in region.blocks_overlapping(txn.address, txn.size):
-            block_base = region.block_base(index)
-            block_end = block_base + region.block_size
-            usable = min(region.block_size, region.rule.end - block_base)
-            covers_whole_block = txn.address <= block_base and txn.end_address >= block_base + usable
+        # The region covers the transaction, so every index is in range.
+        rule_base = region.rule.base
+        for index in range(
+            (address - rule_base) // block_size, (end - 1 - rule_base) // block_size + 1
+        ):
+            block_base = rule_base + index * block_size
+            usable = min(block_size, region_end - block_base)
+            version = region.version_of(index)
 
             # Reconstruct the current plaintext of the block (read-modify-write).
-            if covers_whole_block:
-                old_plain = bytes(region.block_size)
+            if address <= block_base and end >= block_base + usable:
+                new_plain = bytearray(block_size)
             else:
-                stored = self.device.peek(block_base, usable).ljust(region.block_size, b"\x00")
-                if policy.needs_ciphering and region.version_of(index) > 0:
-                    nonce = region.nonce(index, region.version_of(index))
-                    old_plain, cycles = self.confidentiality_core.decipher(region.key, nonce, stored)
+                stored = device.peek(block_base, usable).ljust(block_size, b"\x00")
+                if ciphering and version > 0:
+                    old_plain, cycles = cc.decipher(key, region.nonce(index, version), stored)
                     cc_cycles += cycles
                 else:
                     old_plain = stored
-                if region.tree is not None and region.version_of(index) > 0:
-                    ok, cycles = self.integrity_core.verify(region.tree, index, old_plain)
+                if tree is not None and version > 0:
+                    ok, cycles = self.integrity_core.verify(tree, index, old_plain)
                     ic_cycles += cycles
                     if not ok:
                         self._raise(txn, ViolationType.INTEGRITY_FAILURE,
@@ -377,42 +379,39 @@ class LocalCipheringFirewall(LocalFirewall):
                             stage="integrity_core",
                             status=TransactionStatus.INTEGRITY_ERROR,
                         )
+                new_plain = bytearray(old_plain)
 
             # Patch the written bytes into the plaintext block.
-            new_plain = bytearray(old_plain)
-            overlap_start = max(txn.address, block_base)
-            overlap_end = min(txn.end_address, block_end)
-            src_offset = overlap_start - txn.address
+            overlap_start = max(address, block_base)
+            src_offset = overlap_start - address
             dst_offset = overlap_start - block_base
-            length = overlap_end - overlap_start
-            new_plain[dst_offset : dst_offset + length] = txn.data[src_offset : src_offset + length]
+            length = min(end, block_base + block_size) - overlap_start
+            new_plain[dst_offset : dst_offset + length] = data[src_offset : src_offset + length]
+            plain = bytes(new_plain)
 
             # Advance the timestamp tag and re-protect the block.
-            new_version = region.next_version(index)
-            if policy.needs_ciphering:
-                nonce = region.nonce(index, new_version)
-                new_cipher, cycles = self.confidentiality_core.encipher(
-                    region.key, nonce, bytes(new_plain)
-                )
+            if ciphering:
+                new_cipher, cycles = cc.encipher(key, region.nonce(index, version + 1), plain)
                 cc_cycles += cycles
             else:
-                new_cipher = bytes(new_plain)
+                new_cipher = plain
 
-            if region.tree is not None:
-                ic_cycles += self.integrity_core.update(region.tree, index, bytes(new_plain))
+            if tree is not None:
+                ic_cycles += self.integrity_core.update(tree, index, plain)
             else:
                 region.bump_version(index)
 
             # Write the parts of the block *outside* the transaction directly;
             # the part covered by the transaction is returned as transformed
             # payload so the memory device stores exactly the new ciphertext.
-            self.device.poke(block_base, new_cipher[:usable])
+            device.poke(block_base, new_cipher[:usable])
             new_payload[src_offset : src_offset + length] = new_cipher[
                 dst_offset : dst_offset + length
             ]
 
-        txn.annotations[f"{self.name}.ciphered"] = policy.needs_ciphering
-        txn.annotations[f"{self.name}.authenticated"] = policy.needs_integrity
+        annotations = txn.annotations
+        annotations[self._ciphered_key] = ciphering
+        annotations[self._authenticated_key] = policy.needs_integrity
         breakdown = {"security_builder": base_result.latency}
         if cc_cycles:
             breakdown["confidentiality_core"] = cc_cycles
@@ -430,26 +429,38 @@ class LocalCipheringFirewall(LocalFirewall):
     def _handle_protected_read(
         self, txn: BusTransaction, region: ProtectedRegion, base_result: FilterResult
     ) -> FilterResult:
-        policy = region.rule.policy
+        ciphering = region.rule.policy.needs_ciphering
+        tree = region.tree
+        key = region.key
+        block_size = region.block_size
+        region_end = region.rule.end
+        address = txn.address
+        size = txn.size
+        end = address + size
+        device = self.device
         cc_cycles = 0
         ic_cycles = 0
-        plaintext_out = bytearray(txn.size)
+        plaintext_out = bytearray(size)
 
-        for index in region.blocks_overlapping(txn.address, txn.size):
-            block_base = region.block_base(index)
-            block_end = block_base + region.block_size
-            usable = min(region.block_size, region.rule.end - block_base)
-            stored = self.device.peek(block_base, usable).ljust(region.block_size, b"\x00")
+        rule_base = region.rule.base
+        for index in range(
+            (address - rule_base) // block_size, (end - 1 - rule_base) // block_size + 1
+        ):
+            block_base = rule_base + index * block_size
+            usable = min(block_size, region_end - block_base)
+            stored = device.peek(block_base, usable).ljust(block_size, b"\x00")
+            version = region.version_of(index)
 
-            if policy.needs_ciphering and region.version_of(index) > 0:
-                nonce = region.nonce(index, region.version_of(index))
-                plain, cycles = self.confidentiality_core.decipher(region.key, nonce, stored)
+            if ciphering and version > 0:
+                plain, cycles = self.confidentiality_core.decipher(
+                    key, region.nonce(index, version), stored
+                )
                 cc_cycles += cycles
             else:
                 plain = stored
 
-            if region.tree is not None:
-                ok, cycles = self.integrity_core.verify(region.tree, index, plain)
+            if tree is not None:
+                ok, cycles = self.integrity_core.verify(tree, index, plain)
                 ic_cycles += cycles
                 if not ok:
                     self._raise(txn, ViolationType.INTEGRITY_FAILURE,
@@ -462,11 +473,10 @@ class LocalCipheringFirewall(LocalFirewall):
                         status=TransactionStatus.INTEGRITY_ERROR,
                     )
 
-            overlap_start = max(txn.address, block_base)
-            overlap_end = min(txn.end_address, block_end)
+            overlap_start = max(address, block_base)
             src_offset = overlap_start - block_base
-            dst_offset = overlap_start - txn.address
-            length = overlap_end - overlap_start
+            dst_offset = overlap_start - address
+            length = min(end, block_base + block_size) - overlap_start
             plaintext_out[dst_offset : dst_offset + length] = plain[src_offset : src_offset + length]
 
         breakdown = {}

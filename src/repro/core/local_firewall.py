@@ -359,12 +359,24 @@ class LocalFirewall(TransactionFilter):
         if self.flood_threshold is None:
             return False
         now = self.sim.now
+        tripped = self.flood_window_full(now)
         self._request_cycles.append(now)
-        # Drop entries that fell out of the sliding window.
+        return tripped
+
+    def flood_window_full(self, now: int) -> bool:
+        """Whether one more request at cycle ``now`` trips the DoS heuristic.
+
+        The *live* half of the request check: it drops entries that fell out
+        of the sliding window but does not record the request — the caller
+        appends ``now`` to ``_request_cycles`` once the request is admitted
+        (or, as :meth:`_flood_detected` does, unconditionally).
+        """
+        cycles = self._request_cycles
         cutoff = now - self.flood_window
-        while self._request_cycles and self._request_cycles[0] < cutoff:
-            self._request_cycles.popleft()
-        return len(self._request_cycles) > self.flood_threshold
+        while cycles and cycles[0] < cutoff:
+            cycles.popleft()
+        assert self.flood_threshold is not None
+        return len(cycles) >= self.flood_threshold
 
     # -- TransactionFilter interface ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ ranges to policies; the Security Builder queries it on every transaction.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
@@ -211,6 +212,9 @@ class ConfigurationMemory:
         self.capacity = capacity
         self._default_policy = default_policy
         self._rules: List[PolicyRule] = []
+        # Rule bases in ``_rules`` order (sorted, non-overlapping), so the
+        # covering rule is found by bisection.
+        self._bases: List[int] = []
         self.lookup_count = 0
         self.miss_count = 0
         self.reconfiguration_count = 0
@@ -235,6 +239,7 @@ class ConfigurationMemory:
                 )
         self._rules.append(rule)
         self._rules.sort(key=lambda r: r.base)
+        self._bases = [r.base for r in self._rules]
         self.generation += 1
         return rule
 
@@ -253,6 +258,7 @@ class ConfigurationMemory:
         for index, rule in enumerate(self._rules):
             if rule.base == base:
                 del self._rules[index]
+                del self._bases[index]
                 self.reconfiguration_count += 1
                 self.generation += 1
                 return True
@@ -315,18 +321,24 @@ class ConfigurationMemory:
         when there is none (default-deny).
         """
         self.lookup_count += 1
-        for rule in self._rules:
-            if rule.covers(address, size):
-                return rule.policy
+        rule = self.rule_for(address, size)
+        if rule is not None:
+            return rule.policy
         self.miss_count += 1
         if self.default_policy is not None:
             return self.default_policy
         raise PolicyLookupError(address, size)
 
     def rule_for(self, address: int, size: int = 1) -> Optional[PolicyRule]:
-        """The rule covering an address range, or None."""
-        for rule in self._rules:
-            if rule.covers(address, size):
+        """The rule covering an address range, or None.
+
+        Rules are sorted and never overlap, so only the last rule starting
+        at or below ``address`` can cover it.
+        """
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0:
+            rule = self._rules[index]
+            if address + size <= rule.base + rule.size:
                 return rule
         return None
 

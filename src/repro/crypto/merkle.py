@@ -182,14 +182,14 @@ class MerkleTree:
         return self.root
 
     def _set_leaf(self, index: int, digest: bytes) -> None:
-        self._levels[0][index] = digest
+        levels = self._levels
+        node_hash = self._node_hash
+        levels[0][index] = digest
         node = index
-        for level in range(1, len(self._levels)):
-            parent = node // 2
-            left = self._levels[level - 1][2 * parent]
-            right = self._levels[level - 1][2 * parent + 1]
-            self._levels[level][parent] = self._node_hash(left, right)
-            node = parent
+        for level in range(1, len(levels)):
+            below = levels[level - 1]
+            node >>= 1
+            levels[level][node] = node_hash(below[2 * node], below[2 * node + 1])
 
     # -- verification ---------------------------------------------------------
 
@@ -238,8 +238,19 @@ class MerkleTree:
         self.verify_count += 1
         if version is None:
             version = self._versions[block_index]
-        path = self.auth_path(block_index)
-        return self.compute_root_from_path(block_index, data, version, path) == self.root
+        # The authentication-path walk of compute_root_from_path(auth_path()),
+        # reading the siblings straight from the levels.
+        node_hash = self._node_hash
+        digest = self._leaf_hash(block_index, data, version)
+        node = block_index
+        levels = self._levels
+        for level in levels[:-1]:
+            if node & 1:
+                digest = node_hash(level[node - 1], digest)
+            else:
+                digest = node_hash(digest, level[node + 1])
+            node >>= 1
+        return digest == levels[-1][0]
 
     def verify_or_raise(self, block_index: int, data: bytes, version: Optional[int] = None) -> None:
         """Like :meth:`verify` but raises :class:`IntegrityViolation` on failure."""

@@ -201,34 +201,51 @@ class CTRMode:
             raise ValueError("counter out of range")
         return nonce + counter.to_bytes(block_size - len(nonce), "big")
 
-    def _keystream_block(self, counter_block: bytes) -> bytes:
-        """One keystream block, served from the LRU cache when possible."""
-        if not self._cache_blocks:
-            return self._cipher.encrypt_block(counter_block)
-        cache = self._keystream_cache
-        cached = cache.get(counter_block)
-        if cached is not None:
-            self.cache_hits += 1
-            cache.move_to_end(counter_block)
-            return cached
-        self.cache_misses += 1
-        stream = self._cipher.encrypt_block(counter_block)
-        cache[counter_block] = stream
-        if len(cache) > self.CACHE_LIMIT:
-            cache.popitem(last=False)
-        return stream
-
     def keystream(self, nonce: bytes, length: int, initial_counter: int = 0) -> bytes:
-        """Generate ``length`` keystream bytes starting at ``initial_counter``."""
+        """Generate ``length`` keystream bytes starting at ``initial_counter``.
+
+        Each keystream block is served from the LRU cache when possible.
+        """
         if length < 0:
             raise ValueError("length must be non-negative")
-        out = bytearray()
-        counter = initial_counter
-        while len(out) < length:
-            counter_block = self.make_counter_block(nonce, counter, self._block)
-            out += self._keystream_block(counter_block)
-            counter += 1
-        return bytes(out[:length])
+        block = self._block
+        n_blocks = -(-length // block)
+        if not n_blocks:
+            return b""
+        counter_bytes = block - len(nonce)
+        counters = range(initial_counter, initial_counter + n_blocks)
+        # Validate the nonce and the whole counter range once; on failure,
+        # make_counter_block raises the error of the first bad counter block.
+        if (
+            len(nonce) != block // 2
+            or initial_counter < 0
+            or initial_counter + n_blocks > 1 << (8 * counter_bytes)
+        ):
+            for counter in counters:
+                self.make_counter_block(nonce, counter, block)
+        encrypt_block = self._cipher.encrypt_block
+        if not self._cache_blocks:
+            parts = [
+                encrypt_block(nonce + counter.to_bytes(counter_bytes, "big"))
+                for counter in counters
+            ]
+        else:
+            cache = self._keystream_cache
+            parts = []
+            for counter in counters:
+                counter_block = nonce + counter.to_bytes(counter_bytes, "big")
+                stream = cache.get(counter_block)
+                if stream is not None:
+                    self.cache_hits += 1
+                    cache.move_to_end(counter_block)
+                else:
+                    self.cache_misses += 1
+                    stream = cache[counter_block] = encrypt_block(counter_block)
+                    if len(cache) > self.CACHE_LIMIT:
+                        cache.popitem(last=False)
+                parts.append(stream)
+        stream = b"".join(parts)
+        return stream if len(stream) == length else stream[:length]
 
     def encrypt(self, plaintext: bytes, nonce: bytes, initial_counter: int = 0) -> bytes:
         """Encrypt arbitrary-length plaintext (no padding needed)."""

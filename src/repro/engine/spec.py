@@ -10,8 +10,10 @@ stream:
   that pre-decodes each processor's program into parallel arrays, resolves
   address decode and firewall policy as memoised passes over whole batches,
   and drains matched transactions through a mirrored calendar queue in one
-  pass, falling back to real firewall/device calls only where behaviour is
-  data- or time-dependent (alerts, reconfiguration, ciphering).
+  pass.  It replays the shape half of every filter chain and runs each
+  filter's live half (flood window, ciphering, SEM queueing) for real,
+  falling back to whole real chain calls only for alerts, denials and the
+  first call of each shape after a reconfiguration.
 
 Both engines are *required* to be observationally identical: same alerts,
 same cycle counts, same ciphertexts, same structural fingerprints (the
@@ -62,10 +64,14 @@ class EngineReport:
     back to the object path, ``fallback_reason`` says why.  The batch counters
     quantify how much of the stream the vector engine served from its
     per-batch lookup tables (``replayed``) versus real firewall-chain calls
-    (``real_calls`` — warm-up, alert-raising, ciphering and post-
-    reconfiguration traffic).  ``extra`` carries engine-specific detail;
-    fabric runs record ``extra["fabric"] = {"segments": n, "bridges": n}``
-    for the topology the mirrored drain covered.
+    (``real_calls`` — warm-up, denied, alert-raising and flood-tripping
+    traffic).  ``extra`` carries engine-specific detail: vector runs record
+    ``extra["real_calls_by_reason"]`` (real calls per cause, in
+    :data:`repro.engine.tables.REAL_CALL_REASONS` order) and
+    ``extra["live_calls"]`` (replays whose filter ran a live half:
+    ciphering or SEM queueing); fabric runs also record
+    ``extra["fabric"] = {"segments": n, "bridges": n}`` for the topology the
+    mirrored drain covered.
     """
 
     requested: str

@@ -6,6 +6,29 @@ policy lookup, four checking modules.  The vector engine instead *profiles*
 each chain once per transaction shape and then *replays* the recorded
 outcome for every later transaction of the same shape.
 
+**Shape and live halves.**  Every security filter splits into a *shape half*,
+whose effect depends only on the transaction's shape, and a *live half*,
+which depends on data or time.  A table replays the shape half and always
+calls the live half, at the cycle the object path would:
+
+* a :class:`~repro.core.local_firewall.LocalFirewall` is all shape (policy
+  lookup, checking modules, gating) except for its DoS heuristic, whose
+  sliding window (:meth:`~repro.core.local_firewall.LocalFirewall.
+  flood_window_full`) is its live half;
+* a :class:`~repro.core.ciphering_firewall.LocalCipheringFirewall`'s shape
+  half is its Local Firewall base; its live half is the Confidentiality and
+  Integrity Cores (``_handle_protected_write``/``_handle_protected_read``),
+  called with the protected region resolved once per interned shape;
+* a :class:`~repro.baselines.centralized.CentralizedEnforcementInterface`'s
+  shape half is the SEM's policy check
+  (:meth:`~repro.baselines.centralized.CentralizedSecurityModule.check`); its
+  live half is the SEM's FIFO queue (:meth:`~repro.baselines.centralized.
+  CentralizedSecurityModule.enqueue`), which sets the ``sem_check`` latency.
+
+A ciphering firewall or an SEM interface is split only as the *last* filter
+of its chain (as on every registered port); anywhere else the chain is
+unprofileable and takes real calls.
+
 The shape key reuses the decision-cache semantics of
 :class:`repro.core.local_firewall.SecurityBuilder`, hoisted to the
 granularity a whole batch needs: a verdict is a pure function of the
@@ -14,7 +37,7 @@ the width and the burst length — with the rule-set generation, quarantine
 flag and window signature hoisted into a *guard*.  One profile therefore
 covers every address a rule spans, which is what makes replay the common
 case on synthetic workloads whose working sets sweep whole regions.  The
-profile records everything a real chain call does to the world:
+profile records everything the shape half of a chain call does:
 
 * the verdict latency,
 * the latency-breakdown writes (including zero-cycle stage entries, which
@@ -29,22 +52,20 @@ profile records everything a real chain call does to the world:
 
 Profiles are keyed by rule, but *resolved* per address-shape: the first
 transaction of a given ``(address, width, burst, operation)`` pays the rule
-lookup and interns the resolved profile in a flat map under a single packed
-integer, so every later same-shape transaction replays after one int-keyed
-probe.  A table ``version`` (bumped whenever any firewall's guard state
-changes) keeps the interned map honest without per-entry guard storage.
+lookup and interns the resolved profile (and its live-half target) in a flat
+map under a single packed integer, so every later same-shape transaction
+replays after one guard check and one int-keyed probe.  A guard change
+clears the interned map, so entries need no guard storage of their own.
 
-A chain is only ever profiled when every filter is a plain
-:class:`~repro.core.local_firewall.LocalFirewall` with stateless checking
-modules (or a :class:`~repro.soc.ports.PassthroughFilter`): exactly the
-precondition of the Security Builder's own cache.  Ciphering firewalls,
-custom filters, denying shapes and data-transforming shapes always take the
-real call — those are the fallback triggers (alerts, ciphering, stateful
-heuristics), and the real call *is* the object path, so alert ordering and
-side effects are identical by construction.  Flood-armed firewalls replay,
-with the DoS heuristic's sliding window mirrored on every replayed request;
-a request that would trip it takes the real call (raising the TRAFFIC_FLOOD
-alert at that exact cycle).
+**Real calls.**  A shape whose shape half denies, raises an alert or
+transforms data always takes the real call — the real call *is* the object
+path, so alert ordering and side effects are identical by construction.  So
+does a request that would trip a flood heuristic (raising TRAFFIC_FLOOD at
+that exact cycle), every call of a chain holding a custom or stateful filter,
+and the first call of each shape under a guard, which is measured.
+``real_calls_by_reason`` counts each cause.  A live half that fails (an
+integrity check) raises its alert and denies at the same cycle as the object
+path; the shape profile stays valid.
 
 Guard changes (reconfiguration bumping the configuration-memory generation,
 quarantine flipping, window fencing) invalidate the whole table: pending
@@ -57,8 +78,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.baselines.centralized import (
+    CentralizedEnforcementInterface,
+    CentralizedSecurityModule,
+)
+from repro.core.checks import AddressRangeCheck, SecurityCheck
+from repro.core.ciphering_firewall import LocalCipheringFirewall
 from repro.core.local_firewall import _STATELESS_CHECKS, LocalFirewall
 from repro.soc.ports import (
+    FilterAction,
     FilterResult,
     PassthroughFilter,
     TransactionFilter,
@@ -66,16 +94,32 @@ from repro.soc.ports import (
 )
 from repro.soc.transaction import BusOperation, BusTransaction
 
-__all__ = ["ChainTable"]
+__all__ = ["ChainTable", "REAL_CALL_REASONS"]
 
 _WRITE = BusOperation.WRITE
+_ALLOW = FilterAction.ALLOW
+_DENY = FilterAction.DENY
 
 
 # Profile lifecycle.
-_FRESH = 0      # never called under the current guard
-_WARMED = 1     # one real call made (decision cache primed); measure next
-_REPLAY = 2     # template recorded; replay while the guard holds
-_REAL = 3       # shape denies/transforms/alerts: always take the real call
+_FRESH = 0      # never called under the current guard: measure next call
+_REPLAY = 1     # template recorded; replay while the guard holds
+_REAL = 2       # shape denies/transforms/alerts: always take the real call
+
+#: Why a chain call took the real (object-path) code instead of a replay.
+REAL_CALL_REASONS = (
+    "measure",               # first call of a shape under a guard
+    "deny",                  # the shape half denies
+    "alert",                 # the shape half raises an alert
+    "data_transform",        # the shape half rewrites the payload
+    "unprofileable_filter",  # the chain holds a custom or stateful filter
+    "flood_trip",            # this request trips a DoS heuristic
+)
+
+# How the last filter of a chain splits into shape and live halves.
+_SPLIT_NONE = 0
+_SPLIT_LCF = 1
+_SPLIT_SEM = 2
 
 # Rule tokens for addresses no rule covers.
 _DEFAULT_POLICY = -1
@@ -84,32 +128,68 @@ _POLICY_MISS = -2
 _TRIVIAL = (True, 0, None)
 
 
-class _Handle:
-    """Pre-resolved attribute handles for one LocalFirewall in a chain."""
+class _NeverQuarantined:
+    """Quarantine stand-in for policy owners that cannot be quarantined."""
 
-    __slots__ = ("fw", "cb", "sb", "fi", "cm", "arc", "spi_key",
-                 "cache_enabled", "rule_map", "rule_gen",
-                 "pend_hits", "pend_misses", "sim", "cycles",
+    quarantined = False
+
+
+_NEVER_QUARANTINED = _NeverQuarantined()
+
+
+def _stateless(checks: Sequence[SecurityCheck]) -> bool:
+    return all(type(check) in _STATELESS_CHECKS for check in checks)
+
+
+class _Handle:
+    """Pre-resolved attribute handles for one policy owner in a chain: a
+    LocalFirewall (including a ciphering firewall's base) or the SEM."""
+
+    __slots__ = ("fw", "cm", "arc", "q_owner", "alert_attr", "is_lf",
+                 "cb", "sb", "fi", "spi_key", "cache_enabled",
+                 "pend_hits", "pend_misses",
                  "g_gen", "g_q", "g_wlen", "g_wsig")
 
-    def __init__(self, fw: LocalFirewall) -> None:
-        self.fw = fw
-        self.cb = fw.communication_block
-        self.sb = fw.security_builder
-        self.fi = fw.firewall_interface
-        self.cm = fw.security_builder.config_memory
-        self.arc = fw.security_builder.address_range_check()
-        self.spi_key = f"{fw.name}.spi"
-        self.cache_enabled = fw.security_builder.cache_enabled
-        self.sim = fw.sim
-        self.cycles = fw._request_cycles
-        # (address, size) -> rule token, valid for one rule-set generation.
-        self.rule_map: Dict[Tuple[int, int], int] = {}
-        self.rule_gen = self.cm.generation
+    def __init__(self, owner) -> None:
+        self.fw = owner
+        self.is_lf = isinstance(owner, LocalFirewall)
+        if self.is_lf:
+            sb = owner.security_builder
+            self.cb = owner.communication_block
+            self.sb = sb
+            self.fi = owner.firewall_interface
+            self.cm = sb.config_memory
+            self.arc = sb.address_range_check()
+            self.spi_key = f"{owner.name}.spi"
+            self.cache_enabled = sb.cache_enabled
+            self.q_owner = owner
+            self.alert_attr = "alerts_raised"
+        else:  # the central SEM: no decision cache, never quarantined
+            self.cm = owner.config_memory
+            self.arc = next(
+                (c for c in owner.checks if isinstance(c, AddressRangeCheck)), None
+            )
+            self.cache_enabled = False
+            self.q_owner = _NEVER_QUARANTINED
+            self.alert_attr = "violations"
         # Deferred decision-cache hit/miss counts settled at flush().
         self.pend_hits = 0
         self.pend_misses = 0
         self.refresh_guard()
+
+    def counter_cells(self) -> Tuple[Tuple[object, str], ...]:
+        """Statistic cells the shape half of a call can touch."""
+        if not self.is_lf:
+            return ((self.cm, "lookup_count"), (self.cm, "miss_count"),
+                    (self.fw, "violations"))
+        return (
+            (self.cb, "secpol_requests"),
+            (self.sb, "evaluations"), (self.sb, "violations"),
+            (self.sb, "cycles_charged"),
+            (self.fi, "passed"), (self.fi, "discarded"),
+            (self.fw, "alerts_raised"),
+            (self.cm, "lookup_count"), (self.cm, "miss_count"),
+        )
 
     def refresh_guard(self) -> None:
         """Re-baseline the guard state this handle's profiles assume.
@@ -120,7 +200,7 @@ class _Handle:
         an exact staleness test for them.
         """
         self.g_gen = self.cm.generation
-        self.g_q = self.fw.quarantined
+        self.g_q = self.q_owner.quarantined
         arc = self.arc
         if arc is None or not arc.windows:
             self.g_wlen = 0
@@ -129,39 +209,28 @@ class _Handle:
             self.g_wlen = len(arc.windows)
             self.g_wsig = tuple(tuple(w) for w in arc.windows)
 
-    def token(self, address: int, size: int) -> int:
-        """Identity of the policy rule governing a shape (its base address),
-        or a sentinel for default-policy / default-deny shapes."""
-        cm = self.cm
-        if self.rule_gen != cm.generation:
-            self.rule_map.clear()
-            self.rule_gen = cm.generation
-        token = self.rule_map.get((address, size))
-        if token is None:
-            rule = cm.rule_for(address, size)
-            if rule is not None:
-                token = rule.base
-            elif cm.default_policy is not None:
-                token = _DEFAULT_POLICY
-            else:
-                token = _POLICY_MISS
-            self.rule_map[(address, size)] = token
-        return token
-
 
 class _Profile:
-    """Recorded outcome of one (chain, transaction shape) pair."""
+    """Recorded shape-half outcome of one (chain, transaction shape) pair."""
 
-    __slots__ = ("phase", "latency", "reply", "bd_items", "ann_ops",
-                 "counter_deltas", "cache_handles", "cache_entries", "count",
-                 "hit_replays")
+    __slots__ = ("phase", "reason", "reply", "bd_items", "bd_prefix",
+                 "prefix_latency", "base", "ann_ops", "counter_deltas",
+                 "cache_handles", "cache_entries", "count", "hit_replays")
 
     def __init__(self) -> None:
         self.phase = _FRESH
-        self.latency = 0
-        # Preallocated (allowed, latency, result) return value of a replay.
+        # Why a _REAL shape takes real calls.
+        self.reason = ""
+        # Preallocated (allowed, latency, result) return value of a replay
+        # with no live half.
         self.reply: Tuple[bool, int, None] = (True, 0, None)
+        # Breakdown writes of a replay with no live half, and of the filters
+        # before a split last filter (a live half adds its own after them).
         self.bd_items: Tuple[Tuple[str, int], ...] = ()
+        self.bd_prefix: Tuple[Tuple[str, int], ...] = ()
+        self.prefix_latency = 0
+        # The split last filter's shape-half result, handed to its live half.
+        self.base: Optional[FilterResult] = None
         self.ann_ops: Tuple[Tuple[int, str, object], ...] = ()
         self.counter_deltas: Tuple[Tuple[object, str, int], ...] = ()
         # Handles whose Security Builder cache holds a verdict for this shape
@@ -177,77 +246,135 @@ class _Profile:
         self.hit_replays = 0
 
 
+def _apply_last(
+    txn: BusTransaction, head_latency: int, result: FilterResult
+) -> Tuple[bool, int, Optional[FilterResult]]:
+    """Apply the last filter's result after ``head_latency`` cycles of
+    earlier filters, as the chain does, and merge the chain's verdict."""
+    bd = txn.latency_breakdown
+    if result.breakdown:
+        for stage, cycles in result.breakdown.items():
+            bd[stage] = bd.get(stage, 0) + cycles
+    else:
+        stage = result.stage
+        bd[stage] = bd.get(stage, 0) + result.latency
+    if result.transformed_data is not None:
+        txn.data = result.transformed_data
+    latency = head_latency + result.latency
+    if result.action is _ALLOW:
+        return True, latency, None
+    return False, latency, FilterResult(
+        _DENY, latency=latency, stage=result.stage,
+        reason=result.reason, status=result.status,
+    )
+
+
 class ChainTable:
     """Profile/replay front-end for one port filter chain and direction."""
 
-    __slots__ = ("call", "filters", "direction", "trivial", "always_real",
-                 "handles", "flood_handles", "counter_pairs", "profiles",
-                 "shape_map", "version", "real_calls", "replayed", "_guards")
+    __slots__ = ("call", "filters", "direction", "prefix", "last", "split",
+                 "live_handler", "handles", "keyed", "flood_fws", "sim",
+                 "counter_pairs", "profiles", "shape_map",
+                 "real_calls", "replayed", "live_calls", "reasons", "_guards")
 
     def __init__(self, filters: Sequence[TransactionFilter], direction: str) -> None:
         self.filters = list(filters)
         self.direction = direction
-        self.trivial = not self.filters
-        self.always_real = not all(self._profileable(f) for f in self.filters)
+        self.split = _SPLIT_NONE
+        self.last: Optional[TransactionFilter] = None
+        self.live_handler = None
+        profileable = self._classify()
+        self.prefix = self.filters[:-1] if self.split else self.filters
         self.handles: List[_Handle] = [
-            _Handle(f) for f in self.filters if type(f) is LocalFirewall
-        ]
-        # Flood-armed firewalls mirror their request-cycle sliding window on
-        # every replayed request (the heuristic only observes the request
-        # direction).
-        self.flood_handles: List[_Handle] = [
-            h for h in self.handles
+            _Handle(f) for f in self.filters if isinstance(f, LocalFirewall)
+        ] if profileable else []
+        # Handles whose rule tokens key a profile and whose guards invalidate
+        # it: every LocalFirewall plus the SEM of a split SEM chain.
+        self.keyed: List[_Handle] = list(self.handles)
+        if profileable and self.split == _SPLIT_SEM:
+            self.keyed.append(_Handle(self.last.sem))  # type: ignore[union-attr]
+        # Flood-armed firewalls run their live half (the sliding window) on
+        # every replayed request; the heuristic only observes requests.
+        self.flood_fws: List[LocalFirewall] = [
+            h.fw for h in self.handles
             if direction == "request" and h.fw.flood_threshold is not None
         ]
+        self.sim = self.flood_fws[0].sim if self.flood_fws else None
         # Statistic cells a chain call can touch, deduplicated (firewalls may
         # share a configuration memory).  The decision-cache hit/miss counters
         # are deliberately absent: replays settle those through the handles'
         # pend_hits/pend_misses so first-seen addresses still count as misses.
         pairs: List[Tuple[object, str]] = []
         seen = set()
-        for h in self.handles:
-            for obj, attr in (
-                (h.cb, "secpol_requests"),
-                (h.sb, "evaluations"), (h.sb, "violations"),
-                (h.sb, "cycles_charged"),
-                (h.fi, "passed"), (h.fi, "discarded"),
-                (h.fw, "alerts_raised"),
-                (h.cm, "lookup_count"), (h.cm, "miss_count"),
-            ):
+        for h in self.keyed:
+            for obj, attr in h.counter_cells():
                 if (id(obj), attr) not in seen:
                     seen.add((id(obj), attr))
                     pairs.append((obj, attr))
         self.counter_pairs = pairs
         self.profiles: Dict[tuple, _Profile] = {}
-        # Packed (address, width, burst, op) -> [profile, primed]; the
-        # interned steady-state view of `profiles`, cleared on guard changes.
+        # Packed (address, width, burst, op) -> [profile, primed, live target];
+        # the interned steady-state view of `profiles`, cleared on guard
+        # changes.
         self.shape_map: Dict[int, list] = {}
-        # Bumped whenever any handle's guard state changes.
-        self.version = 0
         self.real_calls = 0
         self.replayed = 0
+        self.live_calls = 0
+        self.reasons: Dict[str, int] = dict.fromkeys(REAL_CALL_REASONS, 0)
         self._rebuild_guards()
         # ``call`` dispatches once, at construction: the replay hot path
-        # never re-tests the trivial/always-real chain classification.
-        if self.trivial:
+        # never re-tests the trivial/unprofileable chain classification.
+        if not self.filters:
             self.call = self._call_trivial
-        elif self.always_real:
-            self.call = self._call_real
+        elif not profileable:
+            self.call = self._call_unprofileable
         else:
             self.call = self._call_replayable
 
-    @staticmethod
-    def _profileable(filt: TransactionFilter) -> bool:
-        if type(filt) is PassthroughFilter:
-            return True
-        # Exact type: subclasses (the ciphering firewall, thread-aware
-        # variants) have data- or state-dependent verdicts.
-        if type(filt) is not LocalFirewall:
+    def _classify(self) -> bool:
+        """Whether the chain can be profiled; records a split last filter.
+
+        Plain LocalFirewalls with stateless checking modules and passthrough
+        filters are all shape.  A ciphering firewall or an SEM interface is
+        split into shape and live halves when it is the last filter.  An SEM
+        interface's response path is the default zero-cost allow, all shape.
+        Anything else (thread-aware firewalls, custom filters, stateful
+        checks) makes the chain unprofileable.
+        """
+        n = len(self.filters)
+        for index, filt in enumerate(self.filters):
+            kind = type(filt)
+            last = index == n - 1
+            if kind is PassthroughFilter:
+                continue
+            if kind is LocalFirewall:
+                if not _stateless(filt.security_builder.checks):
+                    return False
+                continue
+            if kind is LocalCipheringFirewall and last:
+                if not _stateless(filt.security_builder.checks):
+                    return False
+                self.split = _SPLIT_LCF
+                self.last = filt
+                self.live_handler = (
+                    filt._handle_protected_write if self.direction == "request"
+                    else filt._handle_protected_read
+                )
+                continue
+            if kind is CentralizedEnforcementInterface:
+                if self.direction == "response":
+                    continue
+                sem = filt.sem
+                if (
+                    last
+                    and type(sem) is CentralizedSecurityModule
+                    and _stateless(sem.checks)
+                ):
+                    self.split = _SPLIT_SEM
+                    self.last = filt
+                    continue
             return False
-        return all(
-            type(check) in _STATELESS_CHECKS
-            for check in filt.security_builder.checks
-        )
+        return True
 
     # -- guard ----------------------------------------------------------------
 
@@ -256,7 +383,7 @@ class ChainTable:
         path's staleness test costs single attribute loads instead of
         ``h.cm.generation``-style double hops."""
         self._guards = [
-            (h.cm, h.g_gen, h.fw, h.g_q, h.arc, h.g_wlen) for h in self.handles
+            (h.cm, h.g_gen, h.q_owner, h.g_q, h.arc, h.g_wlen) for h in self.keyed
         ]
 
     def _settle_profiles(self) -> None:
@@ -283,58 +410,89 @@ class ChainTable:
         self._settle_profiles()
         self.profiles.clear()
         self.shape_map.clear()
-        self.version += 1
-        for h in self.handles:
+        for h in self.keyed:
             h.refresh_guard()
         self._rebuild_guards()
 
-    def _key(self, txn: BusTransaction) -> tuple:
-        """Profile key: rule identity per firewall plus the shape parameters
-        the stateless checks read.  When any firewall carries address-range
-        windows (a quarantine fence), the raw address joins the key — the
-        window check is the one check that reads it."""
+    def _profile_for(self, txn: BusTransaction) -> _Profile:
+        """The profile of ``txn``'s shape: rule identity per policy owner plus
+        the shape parameters the stateless checks read.  When any owner
+        carries address-range windows (a quarantine fence), the raw address
+        joins the key — the window check is the one check that reads it."""
         address = txn.address
-        size = txn.size
+        width = txn.width
+        burst = txn.burst_length
+        size = width * burst
         windowed = False
         tokens = []
-        for h in self.handles:
-            tokens.append(h.token(address, size))
+        for h in self.keyed:
+            # The rule's base identifies it; sentinels stand for the
+            # default-policy and default-deny shapes.
+            cm = h.cm
+            rule = cm.rule_for(address, size)
+            if rule is not None:
+                tokens.append(rule.base)
+            elif cm.default_policy is not None:
+                tokens.append(_DEFAULT_POLICY)
+            else:
+                tokens.append(_POLICY_MISS)
             if h.g_wlen:
                 windowed = True
-        return (
-            txn.operation,
-            txn.width,
-            txn.burst_length,
+        key = (
+            txn.operation is _WRITE,
+            width,
+            burst,
             address if windowed else None,
             *tokens,
         )
+        prof = self.profiles.get(key)
+        if prof is None:
+            prof = self.profiles[key] = _Profile()
+        return prof
+
+    def _live_target(self, txn: BusTransaction):
+        """What the split last filter's live half runs against for this
+        address-shape: the SEM, the protected region a ciphering firewall
+        (de)ciphers (writes on requests, reads on responses), or None."""
+        split = self.split
+        if split == _SPLIT_SEM:
+            return self.last.sem  # type: ignore[union-attr]
+        if split == _SPLIT_LCF and txn.is_read == (self.direction == "response"):
+            return self.last.region_for(txn.address, txn.size)  # type: ignore[union-attr]
+        return None
 
     # -- hot path --------------------------------------------------------------
 
     def _call_trivial(self, txn: BusTransaction) -> Tuple[bool, int, None]:
         return _TRIVIAL
 
-    def _call_real(
+    def _call_unprofileable(
         self, txn: BusTransaction
     ) -> Tuple[bool, int, FilterResult]:
+        return self._real(txn, "unprofileable_filter")
+
+    def _real(
+        self, txn: BusTransaction, reason: str
+    ) -> Tuple[bool, int, FilterResult]:
         self.real_calls += 1
+        self.reasons[reason] += 1
         result = apply_filter_chain(self.filters, txn, self.direction)
         return result.allowed, result.latency, result
 
     def _call_replayable(
         self, txn: BusTransaction
     ) -> Tuple[bool, int, Optional[FilterResult]]:
-        """Run ``txn`` through the chain, by replay when a valid profile
-        exists, by real call otherwise.
+        """Run ``txn`` through the chain: replay the shape half when a valid
+        profile exists (and run the live half), real call otherwise.
 
         Returns ``(allowed, latency, result)``; ``result`` is the merged
-        :class:`FilterResult` of a real call (needed for deny status/reason)
-        and None for a replayed allow.
+        :class:`FilterResult` of a denial (needed for its status/reason) and
+        None for an allow.
         """
-        for cm, gen, fw, q, arc, wlen in self._guards:
+        for cm, gen, q_owner, q, arc, wlen in self._guards:
             if (
                 cm.generation != gen
-                or fw.quarantined != q
+                or q_owner.quarantined != q
                 or (arc is not None and len(arc.windows or ()) != wlen)
             ):
                 self._invalidate()
@@ -347,52 +505,43 @@ class ChainTable:
             | (txn.operation is _WRITE)
         )
         entry = self.shape_map.get(ikey)
-        if entry is not None:
-            prof = entry[0]
-            # Mirror the DoS heuristic's sliding window.  When this request
-            # would trip it, take the real call (which raises the
-            # TRAFFIC_FLOOD alert — and denies, under flood_block — at this
-            # exact cycle); the profile itself stays valid.
-            flood_handles = self.flood_handles
-            if flood_handles:
-                for h in flood_handles:
-                    cycles = h.cycles
-                    cutoff = h.sim._now - h.fw.flood_window
-                    while cycles and cycles[0] < cutoff:
-                        cycles.popleft()
-                    if len(cycles) >= h.fw.flood_threshold:
-                        self.real_calls += 1
-                        result = apply_filter_chain(
-                            self.filters, txn, self.direction
-                        )
-                        return result.allowed, result.latency, result
-                for h in flood_handles:
-                    h.cycles.append(h.sim._now)
-            bd_items = prof.bd_items
-            if bd_items:
-                bd = txn.latency_breakdown
-                for stage, delta in bd_items:
-                    bd[stage] = bd.get(stage, 0) + delta
-            ann_ops = prof.ann_ops
-            if ann_ops:
-                ann = txn.annotations
-                for op, k, v in ann_ops:
-                    if op or k not in ann:
-                        ann[k] = v
-            # Decision-cache mirror.  The first replay of an address-shape
-            # probes the real cache (a fresh address is a miss that installs
-            # the shape's memoised verdict, exactly as the object path's miss
-            # would); after that the shape's key is resident until the next
-            # guard change, so later replays only count a hit — deferred to
-            # flush through the profile's ``hit_replays``.
-            if entry[1]:
-                prof.hit_replays += 1
-            elif prof.cache_handles:
+        if entry is None:
+            prof = self._profile_for(txn)
+            if prof.phase != _REPLAY:
+                return self._profile_call(prof, txn, ikey)
+            entry = self.shape_map[ikey] = [
+                prof, False, self._live_target(txn) if self.split else None
+            ]
+        prof, primed, live = entry
+
+        # Live half of the DoS heuristic.  When this request would trip it,
+        # take the real call (which raises the TRAFFIC_FLOOD alert — and
+        # denies, under flood_block — at this exact cycle); the profile itself
+        # stays valid.
+        flood_fws = self.flood_fws
+        if flood_fws:
+            now = self.sim._now  # type: ignore[union-attr]
+            for fw in flood_fws:
+                if fw.flood_window_full(now):
+                    return self._real(txn, "flood_trip")
+            for fw in flood_fws:
+                fw._request_cycles.append(now)
+
+        # Decision-cache mirror.  The first replay of an address-shape probes
+        # the real cache (a fresh address is a miss that installs the shape's
+        # memoised verdict, exactly as the object path's miss would); after
+        # that the shape's key is resident until the next guard change, so
+        # later replays only count a hit — deferred to flush through the
+        # profile's ``hit_replays``.
+        if primed:
+            prof.hit_replays += 1
+        else:
+            if prof.cache_handles:
                 address = txn.address
-                size = txn.size
-                is_write = txn.is_write
                 width = txn.width
                 burst = txn.burst_length
+                size = width * burst
+                is_write = txn.operation is _WRITE
                 for h, payload in zip(prof.cache_handles, prof.cache_entries):
                     cache = h.sb._cache
                     ckey = (address, size, is_write, width, burst, h.g_wsig)
@@ -403,138 +552,129 @@ class ChainTable:
                             cache.clear()
                         cache[ckey] = payload
                         h.pend_misses += 1
-                entry[1] = True
-            else:
-                entry[1] = True
-            prof.count += 1
-            return prof.reply
-
-        allowed, latency, result, prof = self._call_keyed(txn)
-        if prof is not None:
-            # Whichever path produced the profile (measure or first replay of
-            # a fresh address), this transaction's decision-cache key is now
-            # resident in every consulted Security Builder.
-            self.shape_map[ikey] = [prof, True]
-        return allowed, latency, result
-
-    def _call_keyed(
-        self, txn: BusTransaction
-    ) -> Tuple[bool, int, Optional[FilterResult], Optional[_Profile]]:
-        """Resolve a call through the shape-keyed profile store.  The guard is
-        already known fresh.  Returns the profile (for row caching) when it is
-        replayable."""
-        key = self._key(txn)
-        prof = self.profiles.get(key)
-        if prof is None:
-            prof = _Profile()
-            self.profiles[key] = prof
-
-        phase = prof.phase
-        if phase == _REPLAY:
-            # Row-cache miss on an already-replayable shape (first transaction
-            # of a new row sharing a profiled shape): replay with the full
-            # cache probe, and let the caller cache the profile for the row.
-            allowed, latency, result = self._replay_once(prof, txn)
-            return allowed, latency, result, prof
-
-        self.real_calls += 1
-
-        if phase == _REAL:
-            result = apply_filter_chain(self.filters, txn, self.direction)
-            return result.allowed, result.latency, result, None
-
-        if phase == _WARMED:
-            allowed, latency, result = self._measure(prof, txn)
-            return allowed, latency, result, (prof if prof.phase == _REPLAY else None)
-
-        # _FRESH: plain real call that primes the Security Builder's decision
-        # cache for this shape.
-        data_before = txn.data
-        alerts_before = sum(h.fw.alerts_raised for h in self.handles)
-        result = apply_filter_chain(self.filters, txn, self.direction)
-        if (
-            not result.allowed
-            or txn.data is not data_before
-            or sum(h.fw.alerts_raised for h in self.handles) != alerts_before
-        ):
-            prof.phase = _REAL
-        else:
-            prof.phase = _WARMED
-        return result.allowed, result.latency, result, None
-
-    def _replay_once(
-        self, prof: _Profile, txn: BusTransaction
-    ) -> Tuple[bool, int, Optional[FilterResult]]:
-        """One replay outside a row cache (flood mirror + full cache probe)."""
-        flood_handles = self.flood_handles
-        if flood_handles:
-            for h in flood_handles:
-                cycles = h.cycles
-                cutoff = h.sim._now - h.fw.flood_window
-                while cycles and cycles[0] < cutoff:
-                    cycles.popleft()
-                if len(cycles) >= h.fw.flood_threshold:
-                    self.real_calls += 1
-                    result = apply_filter_chain(self.filters, txn, self.direction)
-                    return result.allowed, result.latency, result
-            for h in flood_handles:
-                h.cycles.append(h.sim._now)
-        bd = txn.latency_breakdown
-        for stage, delta in prof.bd_items:
-            bd[stage] = bd.get(stage, 0) + delta
-        ann = txn.annotations
-        for op, k, v in prof.ann_ops:
-            if op or k not in ann:
-                ann[k] = v
-        if prof.cache_handles:
-            address = txn.address
-            size = txn.size
-            is_write = txn.is_write
-            width = txn.width
-            burst = txn.burst_length
-            for h, payload in zip(prof.cache_handles, prof.cache_entries):
-                cache = h.sb._cache
-                ckey = (address, size, is_write, width, burst, h.g_wsig)
-                if ckey in cache:
-                    h.pend_hits += 1
-                else:
-                    if len(cache) >= h.sb.CACHE_LIMIT:
-                        cache.clear()
-                    cache[ckey] = payload
-                    h.pend_misses += 1
+            entry[1] = True
+        ann_ops = prof.ann_ops
+        if ann_ops:
+            ann = txn.annotations
+            for op, k, v in ann_ops:
+                if op or k not in ann:
+                    ann[k] = v
         prof.count += 1
-        return prof.reply
+        if live is None:
+            bd = txn.latency_breakdown
+            for stage, delta in prof.bd_items:
+                bd[stage] = bd.get(stage, 0) + delta
+            return prof.reply
+        return self._run_live(prof, live, txn)
 
-    def _measure(
-        self, prof: _Profile, txn: BusTransaction
+    def _run_live(
+        self, prof: _Profile, live, txn: BusTransaction
     ) -> Tuple[bool, int, Optional[FilterResult]]:
-        """Second call under an unchanged guard: the chain is in its steady
-        state (decision cache primed), so this call's side effects are exactly
-        what every later same-shape transaction would observe — record them."""
-        pairs = self.counter_pairs
-        before = [getattr(obj, attr) for obj, attr in pairs]
+        """The split last filter's live half, after a replayed shape half."""
+        bd = txn.latency_breakdown
+        sem = self.split == _SPLIT_SEM
+        if not sem and txn.data is None:
+            # A read response with no data: nothing to decipher.
+            for stage, delta in prof.bd_items:
+                bd[stage] = bd.get(stage, 0) + delta
+            return prof.reply
+        for stage, delta in prof.bd_prefix:
+            bd[stage] = bd.get(stage, 0) + delta
+        self.live_calls += 1
+        if sem:
+            # The SEM interface's stage, charged the queue delay plus check.
+            stage = prof.base.stage  # type: ignore[union-attr]
+            latency = live.enqueue()
+            bd[stage] = bd.get(stage, 0) + latency
+            return True, prof.prefix_latency + latency, None
+        result = self.live_handler(txn, live, prof.base)  # type: ignore[misc]
+        return _apply_last(txn, prof.prefix_latency, result)
+
+    def _profile_call(
+        self, prof: _Profile, txn: BusTransaction, ikey: int
+    ) -> Tuple[bool, int, Optional[FilterResult]]:
+        """A real call of a shape with no replayable profile.
+
+        A ``_REAL`` shape runs the chain as the object path does.  A
+        ``_FRESH`` shape's first call under the guard is measured: its
+        shape-half side effects are exactly what every later same-shape
+        transaction would observe (a decision-cache miss and a hit keep the
+        same statistics), so they are recorded.  The call runs the shape
+        half, then the live half, in object-path order.
+        """
+        if prof.phase == _REAL:
+            return self._real(txn, prof.reason)
+        self.real_calls += 1
+        self.reasons["measure"] += 1
+        before = [getattr(obj, attr) for obj, attr in self.counter_pairs]
         cache_before = [h.sb.cache_hits + h.sb.cache_misses for h in self.handles]
-        bd_before = dict(txn.latency_breakdown)
         ann_before = set(txn.annotations)
+        bd_before = dict(txn.latency_breakdown)
         data_before = txn.data
+        alerts_before = [getattr(h.fw, h.alert_attr) for h in self.keyed]
 
-        result = apply_filter_chain(self.filters, txn, self.direction)
+        # Shape half: the filters before a split last filter as one chain,
+        # then the last filter's shape half (unapplied: a live half may
+        # replace its breakdown, as the object path's merged result does).
+        direction = self.direction
+        head = apply_filter_chain(self.prefix, txn, direction)
+        base: Optional[FilterResult] = None
+        if head.allowed and self.split:
+            last = self.last
+            if self.split == _SPLIT_SEM:
+                # The SEM interface's real call: queue (live) then check.
+                base = last.filter_request(txn)  # type: ignore[union-attr]
+            elif direction == "request":
+                base = LocalFirewall.filter_request(last, txn)  # type: ignore[arg-type]
+            else:
+                base = LocalFirewall.filter_response(last, txn)  # type: ignore[arg-type]
 
-        after = [getattr(obj, attr) for obj, attr in pairs]
-        alerts_changed = any(
-            b != a and attr == "alerts_raised"
-            for (obj, attr), b, a in zip(pairs, before, after)
-        )
-        if not result.allowed or txn.data is not data_before or alerts_changed:
+        if not head.allowed or (base is not None and not base.allowed):
             prof.phase = _REAL
-            return result.allowed, result.latency, result
+            prof.reason = "deny"
+        elif [getattr(h.fw, h.alert_attr) for h in self.keyed] != alerts_before:
+            prof.phase = _REAL
+            prof.reason = "alert"
+        elif txn.data is not data_before:
+            prof.phase = _REAL
+            prof.reason = "data_transform"
+        else:
+            self._record(prof, txn, head, base, before, cache_before,
+                         bd_before, ann_before)
 
-        prof.latency = result.latency
-        prof.reply = (True, result.latency, None)
+        if not head.allowed:
+            return False, head.latency, head
+        # Finish the call as the object path: the live half, if any.
+        live = self._live_target(txn) if base is not None else None
+        if prof.phase == _REPLAY:
+            self.shape_map[ikey] = [prof, True, live]
+        if base is None:
+            return True, head.latency, None
+        if base.allowed and live is not None and self.split == _SPLIT_LCF and (
+            txn.data is not None
+        ):
+            result = self.live_handler(txn, live, base)  # type: ignore[misc]
+        else:
+            result = base
+        return _apply_last(txn, head.latency, result)
+
+    def _record(
+        self,
+        prof: _Profile,
+        txn: BusTransaction,
+        head: FilterResult,
+        base: Optional[FilterResult],
+        before: List[int],
+        cache_before: List[int],
+        bd_before: Dict[str, int],
+        ann_before: set,
+    ) -> None:
+        """Record a measured call's shape-half side effects into ``prof``."""
+        pairs = self.counter_pairs
         prof.counter_deltas = tuple(
-            (obj, attr, a - b)
-            for (obj, attr), b, a in zip(pairs, before, after)
-            if a != b
+            (obj, attr, getattr(obj, attr) - b)
+            for (obj, attr), b in zip(pairs, before)
+            if getattr(obj, attr) != b
         )
         # The memoised verdict each firewall holds for this shape — replays
         # install it under fresh addresses exactly as a real miss would.
@@ -550,11 +690,23 @@ class ChainTable:
         prof.cache_handles = tuple(cache_handles)
         prof.cache_entries = tuple(entries)
         bd_after = txn.latency_breakdown
-        prof.bd_items = tuple(
+        prof.bd_prefix = tuple(
             (stage, cycles - bd_before.get(stage, 0))
             for stage, cycles in bd_after.items()
             if stage not in bd_before or cycles != bd_before[stage]
         )
+        prof.prefix_latency = head.latency
+        prof.base = base
+        if base is None:
+            prof.bd_items = prof.bd_prefix
+            latency = head.latency
+        else:
+            own = tuple(base.breakdown.items()) if base.breakdown else (
+                (base.stage, base.latency),
+            )
+            prof.bd_items = prof.bd_prefix + own
+            latency = head.latency + base.latency
+        prof.reply = (True, latency, None)
         ops: List[Tuple[int, str, object]] = []
         if self.direction == "request":
             for h in self.handles:
@@ -565,7 +717,6 @@ class ChainTable:
         prof.ann_ops = tuple(ops)
         prof.count = 0
         prof.phase = _REPLAY
-        return True, result.latency, result
 
     # -- deferred statistics ----------------------------------------------------
 

@@ -14,12 +14,14 @@ calendar heap whose entries are plain tuples keyed by a single
 approximation: each heap pop corresponds to exactly one object-path kernel
 event, at the same cycle, with the same sequence number, performing the same
 state transitions on the *real* platform objects (transactions, devices,
-monitors, arbiters, firewalls).  Anything shape-independent is replayed from
-tables; anything data-, time- or state-dependent — alerts, denials,
-reconfiguration, ciphering, flood trips, centralized SEM queueing — runs
-the real code at the right simulated time.  The differential harness
-(:mod:`repro.scenarios.differential`) holds the two engines to byte-identical
-fingerprints on every registered scenario.
+monitors, arbiters, firewalls).  The shape half of every filter chain — the
+part whose effect depends only on the transaction's shape — is replayed from
+tables; the live half of each filter — a Local Firewall's flood window, a
+ciphering firewall's Confidentiality and Integrity Cores, the central SEM's
+FIFO queue — runs the real code on every call, at the right simulated time.
+Alerts, denials and reconfigurations run the whole real chain.  The
+differential harness (:mod:`repro.scenarios.differential`) holds the two
+engines to byte-identical fingerprints on every registered scenario.
 
 **One loop for every interconnect.**  A flat bus is drained as a fabric of
 one segment with no bridges, so flat and bridged platforms share the same
@@ -50,8 +52,9 @@ subset: an instrumentation event bus with payload-recording sinks (JSONL
 trace, in-memory event streams), processor completion hooks, custom
 interconnect/port/processor subclasses, split-transaction device slaves, or
 a workload whose operations would fail transaction validation.
-Per-transaction fallbacks (a shape that denies, transforms data or needs
-ciphering) stay *inside* the engine as real chain calls — only
+Per-transaction fallbacks (a shape whose shape half denies, alerts or
+transforms data, a flood trip) stay *inside* the engine as real chain calls,
+counted by cause in ``EngineReport.extra["real_calls_by_reason"]`` — only
 platform-level features force the object path.
 """
 
@@ -68,7 +71,7 @@ from repro.engine.batch import (
     fabric_route_prepass,
 )
 from repro.engine.spec import EngineReport
-from repro.engine.tables import ChainTable
+from repro.engine.tables import REAL_CALL_REASONS, ChainTable
 from repro.soc.fabric.bridge import BridgeEndpoint, BusBridge
 from repro.soc.fabric.fabric import InterconnectFabric
 from repro.soc.fabric.segment import BusSegment
@@ -265,7 +268,8 @@ def eligibility(system: SoCSystem) -> Optional[str]:
     """Why this platform cannot run under the vector engine (None = it can).
 
     These are *run-level* fallback triggers; per-transaction concerns
-    (alerts, ciphering, floods) are handled inside the engine by real calls.
+    (alerts, denials, flood trips) are handled inside the engine by real
+    calls, and ciphering and SEM queueing by live halves.
     """
     bus = system.bus
     fabric = type(bus) is InterconnectFabric
@@ -410,10 +414,12 @@ def drive_workload(
         profiles=sum(len(t.profiles) for t in tables),
         replayed=sum(t.replayed for t in tables),
         real_calls=sum(t.real_calls for t in tables),
-        extra={
-            "fabric": {"segments": len(segstates), "bridges": len(bridgestates)}
-        } if fabric else {},
+        extra=_table_extra(tables),
     )
+    if fabric:
+        report.extra["fabric"] = {
+            "segments": len(segstates), "bridges": len(bridgestates)
+        }
     return final[0], report
 
 
@@ -947,13 +953,26 @@ _FAILED = tuple(
 )
 
 
+def _table_extra(tables: List[ChainTable]) -> Dict[str, object]:
+    """Why chain calls took real calls, and how many live halves ran."""
+    by_reason = dict.fromkeys(REAL_CALL_REASONS, 0)
+    for table in tables:
+        for reason, count in table.reasons.items():
+            by_reason[reason] += count
+    return {
+        "real_calls_by_reason": by_reason,
+        "live_calls": sum(t.live_calls for t in tables),
+    }
+
+
 def _settle_event_counts(sim, pstates, request_tables, granted_ok) -> None:
     """Settle the per-transaction event counts of one drained workload.
 
     Called after every table flushed: replayed chain calls never ran the real
     firewall code, so their ``firewall.decision`` emissions (one per
-    LocalFirewall per allowed request — denies always take real calls) are
-    counted here in bulk; real calls emitted their own live.  Likewise the
+    LocalFirewall, ciphering firewalls included, per allowed request — denies
+    always take real calls, and the central SEM emits none) are counted here
+    in bulk; real calls emitted their own live.  Likewise the
     ``txn.*``/``bus.granted`` counts the mirrored loop deferred, and the one
     ``sim.run`` the object path's kernel drain would have published.
     """

@@ -124,6 +124,8 @@ def _security_totals(
             "sem": {
                 "evaluations": security.module.evaluations,
                 "violations": security.module.violations,
+                "total_queue_cycles": security.module.total_queue_cycles,
+                "stats": sorted(security.module.stats.items()),
             }
         }
     totals: Dict[str, Dict[str, object]] = {}
@@ -132,6 +134,28 @@ def _security_totals(
             key: value for key, value in firewall.summary().items() if "cache" not in key
         }
     return totals
+
+
+def _transaction_digest(system: SoCSystem) -> str:
+    """SHA-256 over every processor transaction's per-transaction effects.
+
+    Covers each transaction's status, its latency breakdown and its
+    annotations, both in insertion order — so a replay that reorders a
+    breakdown stage, drops a queueing cycle or skips an annotation write
+    shows up even when every aggregate counter still matches.  Transaction
+    ids are excluded for the same reason as in :func:`_alert_fingerprint`.
+    """
+    records = [
+        (
+            name,
+            txn.status.value,
+            tuple(txn.latency_breakdown.items()),
+            tuple(txn.annotations.items()),
+        )
+        for name in sorted(system.processors)
+        for txn in system.processors[name].transactions
+    ]
+    return sha256(repr(records).encode()).hex()
 
 
 def _variant_fingerprint(built: BuiltScenario, final_cycle: int) -> Dict[str, object]:
@@ -143,6 +167,7 @@ def _variant_fingerprint(built: BuiltScenario, final_cycle: int) -> Dict[str, ob
         "memories": _memory_digests(system),
         "alerts": _alert_fingerprint(built.monitor),
         "firewalls": _security_totals(built.security),
+        "transactions": _transaction_digest(system),
     }
     if isinstance(built.security, SecuredPlatform):
         fingerprint["reactions"] = [

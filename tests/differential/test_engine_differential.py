@@ -94,10 +94,16 @@ def test_auto_mode_engages_on_hierarchical_fabrics():
     assert report.used == "vector" and report.fallback_reason is None
 
 
-@pytest.mark.parametrize("name", sorted(FABRIC_SCENARIOS) + ["attack_heavy"])
+@pytest.mark.parametrize(
+    "name",
+    sorted(FABRIC_SCENARIOS) + ["attack_heavy", "crypto_heavy", "centralized_baseline_mirror"],
+)
 def test_counting_instrumentation_is_count_identical(name):
     """A counting-only event bus no longer forces the object path: settled
-    batch counts must equal the object path's per-event emission counts."""
+    batch counts must equal the object path's per-event emission counts —
+    including ``firewall.decision`` counts settled for ciphering-firewall
+    replays (its Local Firewall base decides) and SEM replays (the SEM emits
+    none)."""
     spec = registry.get_scenario(name)
 
     def run(engine):

@@ -7,7 +7,9 @@ both break silently if the code under them observes wall clocks, unseeded
 randomness, or iteration orders Python does not guarantee.  This lint walks
 the ASTs of ``src/repro/engine/`` and ``src/repro/sweep/`` (no imports, no
 execution) — plus ``src/repro/fuzz/``, whose seeded search makes the same
-bit-reproducibility promise — and fails on:
+bit-reproducibility promise, and ``src/repro/core/``, ``src/repro/crypto/``
+and ``src/repro/baselines/``, whose firewall live halves (flood window,
+ciphering, SEM queue) run inside the replay contract — and fails on:
 
 ``unseeded-random``
     Any use of the module-level ``random.*`` functions (``random.random()``,
@@ -40,7 +42,14 @@ import sys
 from typing import List, Sequence, Tuple
 
 #: Directories whose code feeds fingerprinted results.
-DEFAULT_TARGETS = ("src/repro/engine", "src/repro/sweep", "src/repro/fuzz")
+DEFAULT_TARGETS = (
+    "src/repro/engine",
+    "src/repro/sweep",
+    "src/repro/fuzz",
+    "src/repro/core",
+    "src/repro/crypto",
+    "src/repro/baselines",
+)
 
 WAIVER = "# determinism: allow"
 
