@@ -28,6 +28,7 @@ what an attacker probing the external bus or the memory chips sees.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -185,9 +186,6 @@ class LocalCipheringFirewall(LocalFirewall):
 
     name = "local_ciphering_firewall"
 
-    #: Upper bound on memoised region lookups before the memo is reset.
-    REGION_CACHE_LIMIT = 65536
-
     def __init__(
         self,
         sim: Simulator,
@@ -220,13 +218,10 @@ class LocalCipheringFirewall(LocalFirewall):
         self._ciphered_key = f"{name}.ciphered"
         self._authenticated_key = f"{name}.authenticated"
         self._regions: Dict[int, ProtectedRegion] = {}  # keyed by rule base
-        # Memoised region_for() answers; every protected transaction performs
-        # this lookup on both the request and the response path, so the scan
-        # over regions is worth caching.  Invalidated when the Configuration
-        # Memory's rule set changes.
-        self._region_cache: Dict[Tuple[int, int], Optional[ProtectedRegion]] = {}
-        self._region_cache_generation = config_memory.generation
         self._build_regions()
+        # Regions are fixed at construction and never overlap (their rules
+        # did not), so region_for() finds the covering one by bisection.
+        self._region_bases = sorted(self._regions)
 
     # -- region setup -------------------------------------------------------------------
 
@@ -278,24 +273,14 @@ class LocalCipheringFirewall(LocalFirewall):
         return initialised
 
     def region_for(self, address: int, size: int = 1) -> Optional[ProtectedRegion]:
-        """The protected region covering an address range, if any (memoised)."""
-        if self.config_memory.generation != self._region_cache_generation:
-            self._region_cache.clear()
-            self._region_cache_generation = self.config_memory.generation
-        key = (address, size)
-        try:
-            return self._region_cache[key]
-        except KeyError:
-            pass
-        found: Optional[ProtectedRegion] = None
-        for region in self._regions.values():
-            if region.rule.covers(address, size):
-                found = region
-                break
-        if len(self._region_cache) >= self.REGION_CACHE_LIMIT:
-            self._region_cache.clear()
-        self._region_cache[key] = found
-        return found
+        """The protected region covering an address range, if any."""
+        bases = self._region_bases
+        index = bisect_right(bases, address) - 1
+        if index >= 0:
+            region = self._regions[bases[index]]
+            if address + size <= region.rule.end:
+                return region
+        return None
 
     @property
     def protected_regions(self) -> List[ProtectedRegion]:

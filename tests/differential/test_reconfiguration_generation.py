@@ -76,24 +76,26 @@ class TestGenerationCounterInvalidation:
         assert blocked.status is TransactionStatus.BLOCKED_AT_MASTER
         assert security.monitor.alerts[-1].violation.value == "policy_miss"
 
-    def test_lcf_region_memo_tracks_generation(self):
+    def test_lcf_region_lookup_survives_rule_changes(self):
         system, security = _secured()
         lcf = security.ciphering_firewall
         ddr_base = system.config.ddr_base
 
-        # Warm the region memo through a protected write (request + response
-        # paths both consult region_for).
+        # A protected write consults region_for on the request and response
+        # paths.
         assert _issue_write(system, "cpu0", ddr_base).status is TransactionStatus.COMPLETED
-        assert lcf.region_for(ddr_base, 4) is not None
-        generation = lcf.config_memory.generation
-        assert lcf._region_cache_generation == generation
-
-        # Any rule change must drop the memo on the next lookup.
+        region = lcf.region_for(ddr_base, 4)
+        assert region is not None
         plain_rule = next(r for r in lcf.config_memory.rules if r.label == "ddr_plain")
+        assert lcf.region_for(plain_rule.base, 4) is None
+
+        # Protected regions are fixed when the LCF is built: a rule change
+        # bumps the generation but moves no region.
+        generation = lcf.config_memory.generation
         assert lcf.config_memory.remove(plain_rule.base)
-        assert lcf.region_for(ddr_base, 4) is not None  # still protected
-        assert lcf._region_cache_generation == lcf.config_memory.generation
-        assert lcf._region_cache_generation != generation
+        assert lcf.config_memory.generation != generation
+        assert lcf.region_for(ddr_base, 4) is region  # still protected
+        assert lcf.region_for(plain_rule.base, 4) is None
 
     def test_cached_and_uncached_builds_agree_across_reconfiguration(self):
         """End-to-end: the same traffic + mid-stream reconfiguration produces
