@@ -11,8 +11,9 @@ artifacts:
   work both engines share.
 * **Policy-pass throughput** — the per-transaction cost of the firewall
   policy evaluation itself: the vector engine's interned chain-table replay
-  against the object path's per-transaction filter-chain evaluation (the
-  decision-cached fast path), on the same warmed protected chain.  This is
+  against the object path's per-transaction filter-chain evaluation (a
+  policy lookup and every checking module per call), on the same warmed
+  protected chain.  This is
   the pass the batch engine actually vectorizes, and where the ≥5x CI gate
   lives.
 
@@ -123,8 +124,8 @@ def measure_policy_pass(n_calls: int = 20_000) -> Dict[str, float]:
     def object_call(txn, _filters=port.filters, _apply=apply_filter_chain):
         return _apply(_filters, txn, "request")
 
-    # Warm both paths (priming decision caches / interning profiles) and
-    # check verdict + latency agreement while at it.
+    # Warm both paths (interning the table's profiles) and check verdict +
+    # latency agreement while at it.
     for txn in txns:
         expected = object_call(txn)
         for _ in range(3):
@@ -171,8 +172,7 @@ def measure_spec_drain_pair(spec, repeats: int = 3) -> Dict[str, float]:
     Unlike :func:`measure_drain_pair` (best-of per engine), every round times
     both engines back to back on fresh platforms and the speedup is the median
     of the per-round object/vector ratios, so slow drift hits both sides of a
-    ratio equally.  One untimed warm pair runs first to prime imports and
-    decision caches.
+    ratio equally.  One untimed warm pair runs first to prime imports.
     """
     _drain_spec(spec, "object")
     _drain_spec(spec, "vector")
@@ -256,7 +256,7 @@ def measure_fabric_policy_pass(
                 return False
         return True
 
-    # Warm both paths (decision caches / interned profiles) and check per-hop
+    # Warm both paths (interned profiles) and check per-hop
     # verdict + latency agreement while at it.
     for txn, chains, row_tables in work:
         expected = []

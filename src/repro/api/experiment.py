@@ -196,7 +196,7 @@ class Experiment:
 
     def reference(self, enabled: bool = True) -> "Experiment":
         """Run the whole pipeline under forced reference implementations
-        (FIPS AES, byte-wise SHA-256, uncached decisions/keystreams)."""
+        (FIPS AES, byte-wise SHA-256, uncached keystreams)."""
         self._reference = enabled
         return self
 

@@ -14,7 +14,7 @@ and lets tests exercise every rule in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.alerts import ViolationType
 from repro.core.policy import SecurityPolicy
@@ -33,7 +33,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one checking module for one transaction."""
+    """Outcome of one checking module for one transaction.
+
+    A pass carries nothing but the check's name, so :meth:`ok` hands out one
+    shared frozen instance per name; a failure carries a per-call detail and
+    is built fresh each time.
+    """
 
     passed: bool
     check: str
@@ -42,11 +47,18 @@ class CheckResult:
 
     @classmethod
     def ok(cls, check: str) -> "CheckResult":
-        return cls(passed=True, check=check)
+        result = _PASSES.get(check)
+        if result is None:
+            result = _PASSES[check] = cls(passed=True, check=check)
+        return result
 
     @classmethod
     def fail(cls, check: str, violation: ViolationType, detail: str = "") -> "CheckResult":
         return cls(passed=False, check=check, violation=violation, detail=detail)
+
+
+# The shared passing result of each check name, built on first use.
+_PASSES: Dict[str, CheckResult] = {}
 
 
 class SecurityCheck:
@@ -119,8 +131,10 @@ class AddressRangeCheck(SecurityCheck):
 
     The Configuration Memory's rule ranges already confine where *policies*
     apply; this additional module lets a firewall restrict its IP to a hard
-    envelope irrespective of policy (used to fence a quarantined IP into a
-    scratch area, one of the manager's reactions).
+    envelope irrespective of policy.  The windows are given at construction;
+    nothing in the platform changes them afterwards, but ``windows`` is a
+    plain list a caller may extend or edit in place, and every check reads
+    it afresh.
     """
 
     name = "address_range"
@@ -147,7 +161,7 @@ def default_check_suite() -> List[SecurityCheck]:
 
     RWA, ADF and burst-length correspond directly to the policy parameters of
     section IV-A; the address-range module is instantiated empty (no extra
-    restriction) and only configured by the manager when quarantining.
+    restriction).
     """
     return [
         ReadWriteAccessCheck(),

@@ -25,15 +25,12 @@ blocks of the paper's Figure 1:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.alerts import SecurityAlert, SecurityMonitor, ViolationType
 from repro.core.checks import (
     AddressRangeCheck,
-    BurstLengthCheck,
     CheckResult,
-    DataFormatCheck,
-    ReadWriteAccessCheck,
     SecurityCheck,
     default_check_suite,
 )
@@ -48,25 +45,7 @@ __all__ = [
     "SecurityBuilder",
     "FirewallInterface",
     "LocalFirewall",
-    "use_decision_cache",
-    "decision_cache_enabled",
 ]
-
-# Default for SecurityBuilder instances built without an explicit
-# ``cache_decisions`` argument.  The differential harness flips this to force
-# newly built platforms onto the uncached per-transaction reference path.
-_DECISION_CACHE_DEFAULT = True
-
-
-def use_decision_cache(enabled: bool = True) -> None:
-    """Set the default decision-caching behaviour of new Security Builders."""
-    global _DECISION_CACHE_DEFAULT
-    _DECISION_CACHE_DEFAULT = enabled
-
-
-def decision_cache_enabled() -> bool:
-    """Whether new Security Builders memoise verdicts by default."""
-    return _DECISION_CACHE_DEFAULT
 
 
 class CommunicationBlock:
@@ -83,38 +62,13 @@ class CommunicationBlock:
         txn.annotations.setdefault("secpol_req_by", self.name)
 
 
-# Checking modules whose verdict is a pure function of (policy, transaction
-# attributes, address windows) — the precondition for memoising decisions.
-_STATELESS_CHECKS = (
-    ReadWriteAccessCheck,
-    DataFormatCheck,
-    BurstLengthCheck,
-    AddressRangeCheck,
-)
-
-
 class SecurityBuilder:
     """Security Builder: policy fetch plus the checking modules.
 
     Charges :data:`~repro.core.constants.SECURITY_BUILDER_CYCLES` per
-    evaluation, matching Table II.
-
-    Verdicts are memoised: the decision for a transaction depends only on the
-    installed rules and the transaction's (address, size, direction, width,
-    burst length), so repeated traffic with the same shape — the bulk of any
-    workload sweep — skips the policy scan and the checking modules entirely.
-    The cache is invalidated whenever the Configuration Memory's rule set
-    changes (tracked via its ``generation`` counter), so runtime
-    reconfiguration takes effect on the very next transaction, exactly as in
-    the uncached model.  All statistics (evaluations, violations, lookup and
-    miss counts, cycles charged) are maintained identically on hits and
-    misses.  Caching is automatically disabled when custom, potentially
-    stateful checking modules are installed.
+    evaluation, matching Table II.  Every evaluation is one policy lookup
+    followed by every checking module, as in the hardware.
     """
-
-    #: Upper bound on memoised verdicts before the cache is reset (guards
-    #: address-sweeping workloads against unbounded growth).
-    CACHE_LIMIT = 65536
 
     def __init__(
         self,
@@ -122,10 +76,7 @@ class SecurityBuilder:
         config_memory: ConfigurationMemory,
         checks: Optional[Sequence[SecurityCheck]] = None,
         latency_cycles: int = SECURITY_BUILDER_CYCLES,
-        cache_decisions: Optional[bool] = None,
     ) -> None:
-        if cache_decisions is None:
-            cache_decisions = _DECISION_CACHE_DEFAULT
         self.name = name
         self.config_memory = config_memory
         self.checks: List[SecurityCheck] = list(checks) if checks is not None else default_check_suite()
@@ -133,42 +84,6 @@ class SecurityBuilder:
         self.evaluations = 0
         self.violations = 0
         self.cycles_charged = 0
-        self.cache_enabled = cache_decisions and all(
-            type(check) in _STATELESS_CHECKS for check in self.checks
-        )
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._cache: Dict[tuple, Tuple[Optional[SecurityPolicy], List[CheckResult], bool, bool]] = {}
-        self._cache_generation = config_memory.generation
-
-    def invalidate_cache(self) -> None:
-        """Drop every memoised verdict (e.g. after mutating a checking module)."""
-        self._cache.clear()
-        self._cache_generation = self.config_memory.generation
-
-    def _windows_signature(self) -> tuple:
-        """Hashable snapshot of the address-range windows (quarantine fences)."""
-        for check in self.checks:
-            if isinstance(check, AddressRangeCheck) and check.windows:
-                return tuple(tuple(window) for window in check.windows)
-        return ()
-
-    def decision_key(self, txn: BusTransaction) -> tuple:
-        """The memoisation key of one transaction's verdict.
-
-        A verdict is a pure function of this tuple (given a fixed rule set —
-        tracked separately via the configuration memory's ``generation``).
-        The batch engine keys its per-batch lookup tables on the same tuple,
-        so engine replays are valid exactly when a cache hit would be.
-        """
-        return (
-            txn.address,
-            txn.size,
-            txn.is_write,
-            txn.width,
-            txn.burst_length,
-            self._windows_signature(),
-        )
 
     def evaluate(
         self, txn: BusTransaction, charge_latency: bool = True
@@ -183,54 +98,27 @@ class SecurityBuilder:
         if charge_latency:
             self.evaluations += 1
             self.cycles_charged += self.latency_cycles
-
-        if not self.cache_enabled:
-            return self._evaluate_uncached(txn)[:2]
-
-        if self.config_memory.generation != self._cache_generation:
-            self.invalidate_cache()
-
-        key = self.decision_key(txn)
-        hit = self._cache.get(key)
-        if hit is not None:
-            policy, results, failed, missed_rules = hit
-            self.cache_hits += 1
-            self.config_memory.note_cached_lookup(missed_rules)
-            if failed:
-                self.violations += 1
-            return policy, results
-
-        self.cache_misses += 1
-        policy, results, failed, missed_rules = self._evaluate_uncached(txn)
-        if len(self._cache) >= self.CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[key] = (policy, results, failed, missed_rules)
-        return policy, results
-
-    def _evaluate_uncached(
-        self, txn: BusTransaction
-    ) -> Tuple[Optional[SecurityPolicy], List[CheckResult], bool, bool]:
-        """The original evaluation path; also reports (failed, missed_rules)
-        so the cache can replay statistics faithfully."""
-        misses_before = self.config_memory.miss_count
         try:
             policy = self.config_memory.lookup(txn.address, txn.size)
         except PolicyLookupError as exc:
             self.violations += 1
-            results = [
+            return None, [
                 CheckResult.fail("policy_lookup", ViolationType.POLICY_MISS, detail=str(exc))
             ]
-            return None, results, True, True
-        missed_rules = self.config_memory.miss_count > misses_before
         results = [check.check(policy, txn) for check in self.checks]
-        failed = any(not result.passed for result in results)
-        if failed:
-            self.violations += 1
-        return policy, results, failed, missed_rules
+        for result in results:
+            if not result.passed:
+                self.violations += 1
+                break
+        return policy, results
 
     def address_range_check(self) -> Optional[AddressRangeCheck]:
-        """The address-range checking module, if instantiated (used by the
-        manager to confine a quarantined IP)."""
+        """The address-range checking module, if instantiated.
+
+        Nothing in the platform sets its windows after construction, but a
+        caller may edit them in place at any time; every evaluation reads
+        them afresh.
+        """
         for check in self.checks:
             if isinstance(check, AddressRangeCheck):
                 return check
@@ -462,8 +350,6 @@ class LocalFirewall(TransactionFilter):
             "sb_cycles_charged": self.security_builder.cycles_charged,
             "passed": self.firewall_interface.passed,
             "discarded": self.firewall_interface.discarded,
-            "sb_cache_hits": self.security_builder.cache_hits,
-            "sb_cache_misses": self.security_builder.cache_misses,
             "alerts": self.alerts_raised,
             "rules": len(self.config_memory),
             "quarantined": self.quarantined,

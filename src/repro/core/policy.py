@@ -218,8 +218,8 @@ class ConfigurationMemory:
         self.lookup_count = 0
         self.miss_count = 0
         self.reconfiguration_count = 0
-        # Monotonic counter bumped on every rule change; decision caches in
-        # the firewalls compare it to know when their memoised verdicts are
+        # Monotonic counter bumped on every rule change; the vector engine's
+        # replay tables compare it to know when their recorded verdicts are
         # stale.  Anything that mutates the rule set MUST bump it.
         self.generation = 0
 
@@ -284,7 +284,7 @@ class ConfigurationMemory:
     @default_policy.setter
     def default_policy(self, policy: Optional[SecurityPolicy]) -> None:
         # Assigning the fallback changes lookup outcomes, so it must
-        # invalidate the firewalls' decision caches like any rule change.
+        # invalidate the replay tables like any rule change.
         self._default_policy = policy
         self.generation += 1
 
@@ -294,25 +294,6 @@ class ConfigurationMemory:
         self.reconfiguration_count += 1
 
     # -- lookup -------------------------------------------------------------------
-
-    def note_cached_lookup(self, missed: bool = False) -> None:
-        """Account for a lookup served from a firewall's decision cache.
-
-        Keeps ``lookup_count``/``miss_count`` identical to an uncached run, so
-        reports and experiments see the same statistics regardless of caching.
-        """
-        self.lookup_count += 1
-        if missed:
-            self.miss_count += 1
-
-    def note_cached_lookups(self, count: int, missed_count: int = 0) -> None:
-        """Bulk form of :meth:`note_cached_lookup` for batch engines that
-        replay memoised verdicts and settle lookup statistics per batch
-        instead of per transaction."""
-        if count < 0 or missed_count < 0 or missed_count > count:
-            raise ValueError("invalid cached-lookup accounting")
-        self.lookup_count += count
-        self.miss_count += missed_count
 
     def lookup(self, address: int, size: int = 1) -> SecurityPolicy:
         """Find the policy governing ``[address, address+size)``.

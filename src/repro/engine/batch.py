@@ -7,8 +7,8 @@ hot loop needs (operation kind, address, width, burst length, payload) —
 plus a *decode prepass* that resolves the address map for every unique
 ``(address, size)`` shape in the whole stream before the first cycle
 executes.  Policy evaluation is handled the same way by
-:mod:`repro.engine.tables`, keyed on the decision-cache shape of
-:class:`repro.core.local_firewall.SecurityBuilder`.
+:mod:`repro.engine.tables`, which replays each filter chain's verdict per
+transaction shape.
 
 Programs are validated once here (the object path validates inside
 ``BusTransaction.__post_init__`` on every issue); a program the object path

@@ -29,15 +29,14 @@ A ciphering firewall or an SEM interface is split only as the *last* filter
 of its chain (as on every registered port); anywhere else the chain is
 unprofileable and takes real calls.
 
-The shape key reuses the decision-cache semantics of
-:class:`repro.core.local_firewall.SecurityBuilder`, hoisted to the
-granularity a whole batch needs: a verdict is a pure function of the
-*policy rule* covering the address (not the address itself), the operation,
-the width and the burst length — with the rule-set generation, quarantine
-flag and window signature hoisted into a *guard*.  One profile therefore
-covers every address a rule spans, which is what makes replay the common
-case on synthetic workloads whose working sets sweep whole regions.  The
-profile records everything the shape half of a chain call does:
+A :class:`repro.core.local_firewall.SecurityBuilder` with stateless
+checking modules decides as a pure function of the *policy rule* covering
+the address (not the address itself), the operation, the width and the
+burst length — given the rule set, the quarantine flag and the
+address-range windows, which are hoisted into a *guard*.  One profile
+therefore covers every address a rule spans, which is what makes replay the
+common case on synthetic workloads whose working sets sweep whole regions.
+The profile records everything the shape half of a chain call does:
 
 * the verdict latency,
 * the latency-breakdown writes (including zero-cycle stage entries, which
@@ -45,10 +44,7 @@ profile records everything the shape half of a chain call does:
 * the annotation writes (``secpol_req_by`` via setdefault, per-firewall SPI),
 * the exact statistic deltas (LFCB/SB/FI counters, alert counts,
   configuration memory lookup counts) — applied in bulk when the run drains,
-  which is sound because nothing observes firewall counters mid-workload,
-* the Security Builder's own cache entry for the shape, so replays keep the
-  per-address decision cache (contents, hit/miss counters, eviction) exactly
-  as the object path would leave it.
+  which is sound because nothing observes firewall counters mid-workload.
 
 Profiles are keyed by rule, but *resolved* per address-shape: the first
 transaction of a given ``(address, width, burst, operation)`` pays the rule
@@ -68,10 +64,10 @@ integrity check) raises its alert and denies at the same cycle as the object
 path; the shape profile stays valid.
 
 Guard changes (reconfiguration bumping the configuration-memory generation,
-quarantine flipping, window fencing) invalidate the whole table: pending
-counter deltas are flushed and the next transaction of each shape takes real
-calls again — reproducing the object path's cache invalidation, including
-the post-reconfiguration alerts, at the exact same cycle.
+quarantine flipping, any edit of the address-range windows) invalidate the
+whole table: pending counter deltas are flushed and the next transaction of
+each shape takes real calls again — so the post-reconfiguration verdicts and
+alerts land at the exact cycle the object path raises them.
 """
 
 from __future__ import annotations
@@ -82,9 +78,15 @@ from repro.baselines.centralized import (
     CentralizedEnforcementInterface,
     CentralizedSecurityModule,
 )
-from repro.core.checks import AddressRangeCheck, SecurityCheck
+from repro.core.checks import (
+    AddressRangeCheck,
+    BurstLengthCheck,
+    DataFormatCheck,
+    ReadWriteAccessCheck,
+    SecurityCheck,
+)
 from repro.core.ciphering_firewall import LocalCipheringFirewall
-from repro.core.local_firewall import _STATELESS_CHECKS, LocalFirewall
+from repro.core.local_firewall import LocalFirewall
 from repro.soc.ports import (
     FilterAction,
     FilterResult,
@@ -127,6 +129,16 @@ _POLICY_MISS = -2
 
 _TRIVIAL = (True, 0, None)
 
+# Checking modules whose verdict is a pure function of the policy, the
+# transaction's shape and the guarded address-range windows: a chain whose
+# policy owners run only these may replay a shape's recorded verdict.
+_STATELESS_CHECKS = (
+    ReadWriteAccessCheck,
+    DataFormatCheck,
+    BurstLengthCheck,
+    AddressRangeCheck,
+)
+
 
 class _NeverQuarantined:
     """Quarantine stand-in for policy owners that cannot be quarantined."""
@@ -146,9 +158,7 @@ class _Handle:
     LocalFirewall (including a ciphering firewall's base) or the SEM."""
 
     __slots__ = ("fw", "cm", "arc", "q_owner", "alert_attr", "is_lf",
-                 "cb", "sb", "fi", "spi_key", "cache_enabled",
-                 "pend_hits", "pend_misses",
-                 "g_gen", "g_q", "g_wlen", "g_wsig")
+                 "cb", "sb", "fi", "spi_key", "g_gen", "g_q", "g_wins")
 
     def __init__(self, owner) -> None:
         self.fw = owner
@@ -161,20 +171,15 @@ class _Handle:
             self.cm = sb.config_memory
             self.arc = sb.address_range_check()
             self.spi_key = f"{owner.name}.spi"
-            self.cache_enabled = sb.cache_enabled
             self.q_owner = owner
             self.alert_attr = "alerts_raised"
-        else:  # the central SEM: no decision cache, never quarantined
+        else:  # the central SEM: never quarantined
             self.cm = owner.config_memory
             self.arc = next(
                 (c for c in owner.checks if isinstance(c, AddressRangeCheck)), None
             )
-            self.cache_enabled = False
             self.q_owner = _NEVER_QUARANTINED
             self.alert_attr = "violations"
-        # Deferred decision-cache hit/miss counts settled at flush().
-        self.pend_hits = 0
-        self.pend_misses = 0
         self.refresh_guard()
 
     def counter_cells(self) -> Tuple[Tuple[object, str], ...]:
@@ -194,28 +199,23 @@ class _Handle:
     def refresh_guard(self) -> None:
         """Re-baseline the guard state this handle's profiles assume.
 
-        ``g_wlen``/``g_wsig`` snapshot the address-range windows (quarantine
-        fences).  Window lists are only ever *installed* or extended by the
-        manager, never edited in place entry-by-entry, so a length compare is
-        an exact staleness test for them.
+        ``g_wins`` snapshots the address-range windows' contents as a list of
+        ``(base, size)`` tuples.  The windows are a plain list a caller may
+        extend or edit in place, so the guard compares contents, not length;
+        windows held in any other form compare unequal and invalidate on
+        every call, which is slow but never stale.
         """
         self.g_gen = self.cm.generation
         self.g_q = self.q_owner.quarantined
         arc = self.arc
-        if arc is None or not arc.windows:
-            self.g_wlen = 0
-            self.g_wsig: tuple = ()
-        else:
-            self.g_wlen = len(arc.windows)
-            self.g_wsig = tuple(tuple(w) for w in arc.windows)
+        self.g_wins = [] if arc is None else [tuple(w) for w in arc.windows or ()]
 
 
 class _Profile:
     """Recorded shape-half outcome of one (chain, transaction shape) pair."""
 
     __slots__ = ("phase", "reason", "reply", "bd_items", "bd_prefix",
-                 "prefix_latency", "base", "ann_ops", "counter_deltas",
-                 "cache_handles", "cache_entries", "count", "hit_replays")
+                 "prefix_latency", "base", "ann_ops", "counter_deltas", "count")
 
     def __init__(self) -> None:
         self.phase = _FRESH
@@ -233,17 +233,7 @@ class _Profile:
         self.base: Optional[FilterResult] = None
         self.ann_ops: Tuple[Tuple[int, str, object], ...] = ()
         self.counter_deltas: Tuple[Tuple[object, str, int], ...] = ()
-        # Handles whose Security Builder cache holds a verdict for this shape
-        # (absent for response short-circuits and cache-disabled reference
-        # runs), with the memoised payload replays install under fresh
-        # addresses.
-        self.cache_handles: Tuple["_Handle", ...] = ()
-        self.cache_entries: Tuple[tuple, ...] = ()
         self.count = 0
-        # Replays of already-primed address-shapes: each is one decision-cache
-        # hit per consulted Security Builder, settled in bulk at flush time so
-        # the hot path pays a single increment instead of a handle loop.
-        self.hit_replays = 0
 
 
 def _apply_last(
@@ -301,9 +291,7 @@ class ChainTable:
         ]
         self.sim = self.flood_fws[0].sim if self.flood_fws else None
         # Statistic cells a chain call can touch, deduplicated (firewalls may
-        # share a configuration memory).  The decision-cache hit/miss counters
-        # are deliberately absent: replays settle those through the handles'
-        # pend_hits/pend_misses so first-seen addresses still count as misses.
+        # share a configuration memory).
         pairs: List[Tuple[object, str]] = []
         seen = set()
         for h in self.keyed:
@@ -313,10 +301,9 @@ class ChainTable:
                     pairs.append((obj, attr))
         self.counter_pairs = pairs
         self.profiles: Dict[tuple, _Profile] = {}
-        # Packed (address, width, burst, op) -> [profile, primed, live target];
-        # the interned steady-state view of `profiles`, cleared on guard
-        # changes.
-        self.shape_map: Dict[int, list] = {}
+        # Packed (address, width, burst, op) -> (profile, live target); the
+        # interned steady-state view of `profiles`, cleared on guard changes.
+        self.shape_map: Dict[int, tuple] = {}
         self.real_calls = 0
         self.replayed = 0
         self.live_calls = 0
@@ -383,31 +370,15 @@ class ChainTable:
         path's staleness test costs single attribute loads instead of
         ``h.cm.generation``-style double hops."""
         self._guards = [
-            (h.cm, h.g_gen, h.q_owner, h.g_q, h.arc, h.g_wlen) for h in self.keyed
+            (h.cm, h.g_gen, h.q_owner, h.g_q, h.arc, h.g_wins) for h in self.keyed
         ]
-
-    def _settle_profiles(self) -> None:
-        """Apply each profile's deferred statistics: counter deltas, the
-        replay total, and primed-replay decision-cache hits."""
-        for prof in self.profiles.values():
-            count = prof.count
-            if count:
-                for obj, attr, delta in prof.counter_deltas:
-                    setattr(obj, attr, getattr(obj, attr) + delta * count)
-                self.replayed += count
-                prof.count = 0
-            hits = prof.hit_replays
-            if hits:
-                for h in prof.cache_handles:
-                    h.pend_hits += hits
-                prof.hit_replays = 0
 
     def _invalidate(self) -> None:
         """A guard changed (reconfiguration, quarantine, fencing): flush every
         profile's deferred statistics, drop the profiles and re-baseline — the
-        next call of each shape takes real calls again, reproducing the object
-        path's cache miss (and any fresh alert) at that exact cycle."""
-        self._settle_profiles()
+        next call of each shape takes real calls again, so any fresh verdict
+        or alert lands at the object path's exact cycle."""
+        self.flush()
         self.profiles.clear()
         self.shape_map.clear()
         for h in self.keyed:
@@ -436,7 +407,7 @@ class ChainTable:
                 tokens.append(_DEFAULT_POLICY)
             else:
                 tokens.append(_POLICY_MISS)
-            if h.g_wlen:
+            if h.g_wins:
                 windowed = True
         key = (
             txn.operation is _WRITE,
@@ -489,11 +460,11 @@ class ChainTable:
         :class:`FilterResult` of a denial (needed for its status/reason) and
         None for an allow.
         """
-        for cm, gen, q_owner, q, arc, wlen in self._guards:
+        for cm, gen, q_owner, q, arc, wins in self._guards:
             if (
                 cm.generation != gen
                 or q_owner.quarantined != q
-                or (arc is not None and len(arc.windows or ()) != wlen)
+                or (arc is not None and arc.windows != wins)
             ):
                 self._invalidate()
                 break
@@ -509,10 +480,10 @@ class ChainTable:
             prof = self._profile_for(txn)
             if prof.phase != _REPLAY:
                 return self._profile_call(prof, txn, ikey)
-            entry = self.shape_map[ikey] = [
-                prof, False, self._live_target(txn) if self.split else None
-            ]
-        prof, primed, live = entry
+            entry = self.shape_map[ikey] = (
+                prof, self._live_target(txn) if self.split else None
+            )
+        prof, live = entry
 
         # Live half of the DoS heuristic.  When this request would trip it,
         # take the real call (which raises the TRAFFIC_FLOOD alert — and
@@ -527,32 +498,6 @@ class ChainTable:
             for fw in flood_fws:
                 fw._request_cycles.append(now)
 
-        # Decision-cache mirror.  The first replay of an address-shape probes
-        # the real cache (a fresh address is a miss that installs the shape's
-        # memoised verdict, exactly as the object path's miss would); after
-        # that the shape's key is resident until the next guard change, so
-        # later replays only count a hit — deferred to flush through the
-        # profile's ``hit_replays``.
-        if primed:
-            prof.hit_replays += 1
-        else:
-            if prof.cache_handles:
-                address = txn.address
-                width = txn.width
-                burst = txn.burst_length
-                size = width * burst
-                is_write = txn.operation is _WRITE
-                for h, payload in zip(prof.cache_handles, prof.cache_entries):
-                    cache = h.sb._cache
-                    ckey = (address, size, is_write, width, burst, h.g_wsig)
-                    if ckey in cache:
-                        h.pend_hits += 1
-                    else:
-                        if len(cache) >= h.sb.CACHE_LIMIT:
-                            cache.clear()
-                        cache[ckey] = payload
-                        h.pend_misses += 1
-            entry[1] = True
         ann_ops = prof.ann_ops
         if ann_ops:
             ann = txn.annotations
@@ -598,16 +543,14 @@ class ChainTable:
         A ``_REAL`` shape runs the chain as the object path does.  A
         ``_FRESH`` shape's first call under the guard is measured: its
         shape-half side effects are exactly what every later same-shape
-        transaction would observe (a decision-cache miss and a hit keep the
-        same statistics), so they are recorded.  The call runs the shape
-        half, then the live half, in object-path order.
+        transaction would observe, so they are recorded.  The call runs the
+        shape half, then the live half, in object-path order.
         """
         if prof.phase == _REAL:
             return self._real(txn, prof.reason)
         self.real_calls += 1
         self.reasons["measure"] += 1
         before = [getattr(obj, attr) for obj, attr in self.counter_pairs]
-        cache_before = [h.sb.cache_hits + h.sb.cache_misses for h in self.handles]
         ann_before = set(txn.annotations)
         bd_before = dict(txn.latency_breakdown)
         data_before = txn.data
@@ -639,15 +582,14 @@ class ChainTable:
             prof.phase = _REAL
             prof.reason = "data_transform"
         else:
-            self._record(prof, txn, head, base, before, cache_before,
-                         bd_before, ann_before)
+            self._record(prof, txn, head, base, before, bd_before, ann_before)
 
         if not head.allowed:
             return False, head.latency, head
         # Finish the call as the object path: the live half, if any.
         live = self._live_target(txn) if base is not None else None
         if prof.phase == _REPLAY:
-            self.shape_map[ikey] = [prof, True, live]
+            self.shape_map[ikey] = (prof, live)
         if base is None:
             return True, head.latency, None
         if base.allowed and live is not None and self.split == _SPLIT_LCF and (
@@ -665,7 +607,6 @@ class ChainTable:
         head: FilterResult,
         base: Optional[FilterResult],
         before: List[int],
-        cache_before: List[int],
         bd_before: Dict[str, int],
         ann_before: set,
     ) -> None:
@@ -676,19 +617,6 @@ class ChainTable:
             for (obj, attr), b in zip(pairs, before)
             if getattr(obj, attr) != b
         )
-        # The memoised verdict each firewall holds for this shape — replays
-        # install it under fresh addresses exactly as a real miss would.
-        cache_handles: List[_Handle] = []
-        entries: List[tuple] = []
-        for h, consulted_before in zip(self.handles, cache_before):
-            consulted = (h.sb.cache_hits + h.sb.cache_misses) != consulted_before
-            if consulted and h.cache_enabled:
-                payload = h.sb._cache.get(h.sb.decision_key(txn))
-                if payload is not None:
-                    cache_handles.append(h)
-                    entries.append(payload)
-        prof.cache_handles = tuple(cache_handles)
-        prof.cache_entries = tuple(entries)
         bd_after = txn.latency_breakdown
         prof.bd_prefix = tuple(
             (stage, cycles - bd_before.get(stage, 0))
@@ -721,12 +649,12 @@ class ChainTable:
     # -- deferred statistics ----------------------------------------------------
 
     def flush(self) -> None:
-        """Apply every deferred statistic delta (end of drain)."""
-        self._settle_profiles()
-        for h in self.handles:
-            if h.pend_hits:
-                h.sb.cache_hits += h.pend_hits
-                h.pend_hits = 0
-            if h.pend_misses:
-                h.sb.cache_misses += h.pend_misses
-                h.pend_misses = 0
+        """Apply every profile's deferred statistics — counter deltas and the
+        replay total (end of drain, and before a guard change drops them)."""
+        for prof in self.profiles.values():
+            count = prof.count
+            if count:
+                for obj, attr, delta in prof.counter_deltas:
+                    setattr(obj, attr, getattr(obj, attr) + delta * count)
+                self.replayed += count
+                prof.count = 0

@@ -1,19 +1,18 @@
 """Golden-model differential harness: fast paths vs. forced reference paths.
 
-PR 1 introduced four dual implementations: table-driven vs. FIPS-197
-reference AES, hashlib vs. byte-wise SHA-256, memoised vs. per-transaction
-policy decisions, and the CTR keystream LRU.  Their contract is *observable
-equivalence*: same ciphertexts, same alerts, same cycle counts, same
-statistics.  This module locks that contract down systematically: it runs a
-whole scenario twice — once with every fast path enabled (the default) and
-once inside :func:`reference_mode`, which forces every reference
-implementation — and compares structural fingerprints of the two runs.
+Three fast paths have a forced reference twin: table-driven vs. FIPS-197
+reference AES, hashlib vs. byte-wise SHA-256, and the CTR keystream LRU vs.
+per-block keystream generation.  Their contract is *observable equivalence*:
+same ciphertexts, same alerts, same cycle counts, same statistics.  This
+module locks that contract down systematically: it runs a whole scenario
+twice — once with every fast path enabled (the default) and once inside
+:func:`reference_mode`, which forces every reference implementation — and
+compares structural fingerprints of the two runs.
 
-A fingerprint deliberately excludes cache statistics (hits/misses differ by
-construction) and wall-clock time; everything else — simulated cycles, event
-counts, the full alert stream, raw memory images (i.e. the ciphertexts the
-external attacker sees), firewall verdict counters and per-attack outcomes —
-must match bit for bit.
+A fingerprint deliberately excludes wall-clock time; everything else —
+simulated cycles, event counts, the full alert stream, raw memory images
+(i.e. the ciphertexts the external attacker sees), every firewall's whole
+``summary()`` and per-attack outcomes — must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import contextlib
 from typing import Dict, List, Optional, Union
 
 from repro.baselines.centralized import CentralizedPlatform
-from repro.core.local_firewall import decision_cache_enabled, use_decision_cache
 from repro.core.secure import SecuredPlatform
 from repro.crypto.aes import fast_backend_enabled as aes_fast_enabled
 from repro.crypto.aes import use_reference_backend as aes_use_reference
@@ -51,29 +49,25 @@ def reference_mode():
     * AES block calls use the byte-wise FIPS-197 rounds,
     * :func:`repro.crypto.sha256.sha256` uses the from-scratch compression
       function instead of :mod:`hashlib`,
-    * new CTR modes skip the keystream LRU,
-    * new Security Builders skip the decision cache.
+    * new CTR modes skip the keystream LRU.
 
-    Platforms must be *built inside* the block for the cache defaults to take
-    effect (the crypto backends switch globally either way).
+    Platforms must be *built inside* the block for the keystream default to
+    take effect (the crypto backends switch globally either way).
     """
     saved = (
         aes_fast_enabled(),
         sha_fast_enabled(),
         keystream_cache_enabled(),
-        decision_cache_enabled(),
     )
     aes_use_reference(True)
     sha_use_reference(True)
     use_keystream_cache(False)
-    use_decision_cache(False)
     try:
         yield
     finally:
         aes_use_reference(not saved[0])
         sha_use_reference(not saved[1])
         use_keystream_cache(saved[2])
-        use_decision_cache(saved[3])
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +109,7 @@ def _alert_fingerprint(monitor) -> List[tuple]:
 def _security_totals(
     security: Optional[Union[SecuredPlatform, CentralizedPlatform]]
 ) -> Dict[str, Dict[str, object]]:
-    """Firewall verdict counters, minus the cache statistics that legitimately
-    differ between the fast and reference runs."""
+    """Every firewall's verdict counters: its whole ``summary()``."""
     if security is None:
         return {}
     if isinstance(security, CentralizedPlatform):
@@ -130,9 +123,7 @@ def _security_totals(
         }
     totals: Dict[str, Dict[str, object]] = {}
     for firewall in security.all_firewalls:
-        totals[firewall.name] = {
-            key: value for key, value in firewall.summary().items() if "cache" not in key
-        }
+        totals[firewall.name] = firewall.summary()
     return totals
 
 

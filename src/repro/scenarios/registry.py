@@ -238,8 +238,8 @@ def reconfiguration_under_load() -> ScenarioSpec:
 
     cpu1's BRAM rule flips to read-only at cycle 600 and cpu0's DDR rule is
     removed at cycle 900, so the tail of the workload must be judged by the
-    *new* rules — the differential harness proves the decision caches
-    invalidate identically to the uncached reference.
+    *new* rules — the engine differential proves the vector engine's replay
+    tables invalidate at the same cycle as the object path.
     """
     return ScenarioSpec(
         name="reconfiguration_under_load",

@@ -272,7 +272,7 @@ class ReconfigSpec:
     ``action`` is ``"make_readonly"`` (clone the current policy with
     RWA=READ_ONLY) or ``"remove_rule"`` (drop the rule, reverting the range to
     default-deny).  Both paths bump the Configuration Memory's generation
-    counter, which is exactly what the decision caches key their
+    counter, which is what the vector engine's replay tables key their
     invalidation on — the reconfiguration-under-load scenario pins that.
     """
 

@@ -2,7 +2,7 @@
 
 The vector engine replays interned policy-decision profiles; a mid-stream
 reconfiguration (rule flip or removal) must invalidate those tables at the
-exact cycle the object path's decision caches miss, so the *tail* of the
+exact cycle the object path first sees the new rule, so the *tail* of the
 stream is judged by the new rules and every alert lands at the same cycle in
 the same order.  This test sweeps seeded random placements of the
 reconfiguration cycles against random workload sizes — moving the swap point

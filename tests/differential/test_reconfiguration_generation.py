@@ -1,10 +1,9 @@
-"""Mid-stream reconfiguration must invalidate every memoised verdict.
+"""Mid-stream reconfiguration must take effect on the very next transaction.
 
-The Configuration Memory's ``generation`` counter is the single invalidation
-signal for the Security Builder decision cache and the LCF's region memo.
 These regressions drive live traffic through a secured platform, rewrite the
-Configuration Memory mid-stream, and assert the *very next* transaction is
-judged by the new rule — on cached and uncached builds alike.
+Configuration Memory mid-stream (bumping its ``generation`` counter, the
+vector engine's invalidation signal), and assert the *very next* transaction
+is judged by the new rule, and that the LCF's protected regions stay put.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ class TestGenerationCounterInvalidation:
         memory = firewall.config_memory
         bram_base = system.config.bram_base
 
-        # Warm the decision cache with an allowed write.
         assert _issue_write(system, "cpu0", bram_base).status is TransactionStatus.COMPLETED
         assert _issue_write(system, "cpu0", bram_base).status is TransactionStatus.COMPLETED
-        assert firewall.security_builder.cache_hits >= 1
 
         # Mid-stream reconfiguration: the BRAM window becomes read-only.
         generation_before = memory.generation
@@ -96,31 +93,3 @@ class TestGenerationCounterInvalidation:
         assert lcf.config_memory.generation != generation
         assert lcf.region_for(ddr_base, 4) is region  # still protected
         assert lcf.region_for(plain_rule.base, 4) is None
-
-    def test_cached_and_uncached_builds_agree_across_reconfiguration(self):
-        """End-to-end: the same traffic + mid-stream reconfiguration produces
-        identical statuses and alert streams with decision caches on and off."""
-        outcomes = []
-        for cache_decisions in (True, False):
-            system, security = _secured()
-            for firewall in security.all_firewalls:
-                firewall.security_builder.cache_enabled = (
-                    cache_decisions and firewall.security_builder.cache_enabled
-                )
-            bram_base = system.config.bram_base
-            statuses = [
-                _issue_write(system, "cpu0", bram_base).status.value,
-                _issue_write(system, "cpu0", bram_base + 8).status.value,
-            ]
-            rule = next(r for r in security.master_firewalls["cpu0"].config_memory.rules
-                        if r.base == bram_base)
-            security.manager.reconfigure_policy(
-                "lf_cpu0", bram_base, rule.policy.with_updates(rwa=ReadWriteAccess.READ_ONLY)
-            )
-            statuses.append(_issue_write(system, "cpu0", bram_base).status.value)
-            alerts = [
-                (a.cycle, a.firewall, a.violation.value, a.address)
-                for a in security.monitor.alerts
-            ]
-            outcomes.append((statuses, alerts))
-        assert outcomes[0] == outcomes[1]

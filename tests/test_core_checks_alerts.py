@@ -1,10 +1,14 @@
 """Tests for the Security Builder's checking modules and the alert system."""
 
+import dataclasses
+
+import pytest
 
 from repro.core.alerts import SecurityAlert, SecurityMonitor, Severity, ViolationType
 from repro.core.checks import (
     AddressRangeCheck,
     BurstLengthCheck,
+    CheckResult,
     DataFormatCheck,
     ReadWriteAccessCheck,
     default_check_suite,
@@ -93,6 +97,22 @@ class TestAddressRangeCheck:
         check = AddressRangeCheck(windows=[(0x100, 0x10)])
         result = check.check(policy(), read(address=0x10C, width=4, burst=2))
         assert not result.passed
+
+
+class TestCheckResult:
+    def test_passes_are_frozen_and_equal_per_check_name(self):
+        first = ReadWriteAccessCheck().check(policy(), write())
+        again = ReadWriteAccessCheck().check(policy(), read())
+        assert first == again == CheckResult(passed=True, check="rwa")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.passed = False  # type: ignore[misc]
+
+    def test_failures_carry_their_own_detail(self):
+        check = BurstLengthCheck()
+        five = check.check(policy(max_burst_length=4), read(burst=5))
+        six = check.check(policy(max_burst_length=4), read(burst=6))
+        assert not five.passed and not six.passed
+        assert "5 beats" in five.detail and "6 beats" in six.detail
 
 
 class TestDefaultSuite:
